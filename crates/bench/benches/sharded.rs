@@ -1,5 +1,5 @@
-//! Criterion bench group `sharded_scale`: the same LOCAL executions under the sequential
-//! [`Executor`] and the [`ShardedExecutor`] at growing `n` and thread counts.
+//! Criterion bench group `sharded_scale`: the same LOCAL executions under the
+//! [`Executor`] at one and at several threads, at growing `n`.
 //!
 //! Two tiers are timed: the raw simulator on a message-heavy flood (isolating executor
 //! overhead and barrier costs from algorithm logic), and the full Barenboim–Elkin pipeline
@@ -9,9 +9,7 @@
 
 use arbcolor::legal_coloring::{a_power_coloring, APowerParams};
 use arbcolor_graph::generators;
-use arbcolor_runtime::{
-    algorithms::FloodMaxId, set_default_executor, Executor, ExecutorKind, ShardedExecutor,
-};
+use arbcolor_runtime::{algorithms::FloodMaxId, set_default_executor, Executor, ExecutorKind};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_executor_overhead(c: &mut Criterion) {
@@ -29,7 +27,7 @@ fn bench_executor_overhead(c: &mut Criterion) {
                 &g,
                 |b, g| {
                     b.iter(|| {
-                        ShardedExecutor::new(g)
+                        Executor::new(g)
                             .with_threads(threads)
                             .with_sequential_cutoff(0)
                             .run(&flood)

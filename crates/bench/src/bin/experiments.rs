@@ -15,20 +15,20 @@
 //! so it can be piped straight into a file or a line-oriented tool.
 //!
 //! `--par N` (or `--par=N`) sets the process-wide executor configuration: `N > 1` runs every
-//! experiment on the sharded simulator with `N` pool threads (`arbcolor_runtime::shard`),
-//! `N = 1` forces the sequential executor.  Results are bit-identical either way — the CI
+//! experiment on `N` executor threads (`arbcolor_runtime::ExecutorKind::Sharded`),
+//! `N = 1` forces one thread.  Results are bit-identical either way — the CI
 //! `bench-smoke` job runs the tier under both and fails on any diff — only wall-clock
 //! changes.  E17 additionally performs its own 1-vs-4-thread sweep to report speedups.
 //!
-//! `--par-cutoff N` (or `--par-cutoff=N`) overrides the sequential-fallback cutoff of the
-//! sharded paths (default ~2k vertices).  `--par-cutoff 0` forces even tiny graphs through
-//! the sharded executor and the parallel bucket phase — the CI cross-executor gate uses it
+//! `--par-cutoff N` (or `--par-cutoff=N`) overrides the one-thread cutoff of the
+//! multi-thread paths (default ~2k vertices).  `--par-cutoff 0` forces even tiny graphs onto
+//! every executor thread and through the parallel bucket phase — the CI cross-executor gate uses it
 //! so the smoke tier genuinely exercises the parallel code on every experiment.
 //!
-//! `--chunk-size N` (or `--chunk-size=N`) overrides the work-stealing chunk size of the
-//! sharded executor (default 1024 frontier vertices per steal).  Results are bit-identical
-//! at every chunk size — the CI diff leg runs a non-default value to prove it — only the
-//! steal granularity (and thus load balance) changes.
+//! `--chunk-size N` (or `--chunk-size=N`) overrides the executor's chunk size (default 1024
+//! frontier vertices per claim).  Results are bit-identical at every chunk size — the CI
+//! diff leg runs a non-default value to prove it — only the claim granularity (and thus load
+//! balance) changes.
 //!
 //! `--seed N` (or `--seed=N`) sets the process-wide experiment seed (default 42) that
 //! randomized contenders derive their PRNGs from — currently E22's HKMT headliner.  For a

@@ -431,8 +431,8 @@ pub fn e16_headline_head_to_head(sz: SizeClass) -> Vec<Row> {
     rows
 }
 
-/// E17 — the sharded-simulator scale sweep: both headliners on growing forest unions under
-/// the sequential executor (`threads = 1`) and the sharded executor (`threads = 4`).
+/// E17 — the multi-thread scale sweep: both headliners on growing forest unions under the
+/// executor at `threads = 1` and at `threads = 4`.
 ///
 /// Rounds, messages, and palettes are re-checked to be **bit-identical** across executors
 /// before a row is emitted (the determinism guarantee of `arbcolor_runtime::shard`); the
@@ -441,8 +441,8 @@ pub fn e16_headline_head_to_head(sz: SizeClass) -> Vec<Row> {
 /// the parallel speedup of the whole pipeline on the same graph.
 ///
 /// At `Scale(1)` this is the `n ∈ {10⁵, 10⁶}` sweep of the reproduction index — minutes of
-/// work; the smoke tier shrinks it to one n just above the sharded executor's sequential
-/// cutoff so CI exercises the parallel path end to end in seconds.
+/// work; the smoke tier shrinks it to one n just above the executor's sequential cutoff so
+/// CI exercises the multi-thread path end to end in seconds.
 pub fn e17_sharded_scale(sz: SizeClass) -> Vec<Row> {
     let sizes: Vec<usize> = match sz {
         SizeClass::Smoke => vec![4_000],
@@ -806,7 +806,7 @@ pub fn e20_dynamic_recoloring(_sz: SizeClass) -> Vec<Row> {
 /// advisory and should track the collapsing frontier rather than `n` (an everyone-runs
 /// round loop pays O(n) per round regardless of how many vertices still act).
 ///
-/// The sweep is replayed on the work-stealing executor and asserted **bit-identical**
+/// The sweep is replayed on 4 executor threads and asserted **bit-identical**
 /// before any row is emitted.  At `Scale(1)` the graph has 10⁶ vertices; the smoke tier
 /// shrinks it to 4 000.
 ///
@@ -816,7 +816,7 @@ pub fn e21_frontier_collapse(sz: SizeClass) -> Vec<Row> {
     use arbcolor_baselines::greedy::sequential_greedy;
     use arbcolor_graph::Coloring;
     use arbcolor_runtime::algorithms::{ListColorSchedule, ListColorSlot, ScheduledListColor};
-    use arbcolor_runtime::{ActivitySummary, Executor, ShardedExecutor};
+    use arbcolor_runtime::{ActivitySummary, Executor};
 
     let n = match sz {
         SizeClass::Smoke => 4_000,
@@ -840,8 +840,8 @@ pub fn e21_frontier_collapse(sz: SizeClass) -> Vec<Row> {
     let (result, trace) = Executor::new(&g).run_traced(&algorithm).expect("sweep terminates");
     let wall_ms_total = start.elapsed().as_secs_f64() * 1e3;
 
-    // Determinism: the work-stealing executor must reproduce the sweep bit for bit.
-    let stolen = ShardedExecutor::new(&g)
+    // Determinism: 4 executor threads must reproduce the sweep bit for bit.
+    let stolen = Executor::new(&g)
         .with_threads(4)
         .with_sequential_cutoff(0)
         .run(&algorithm)

@@ -236,17 +236,6 @@ impl DynamicColoring {
         self
     }
 
-    /// Overrides the frontier threshold above which a batch triggers a full re-coloring.
-    #[deprecated(
-        since = "0.2.0",
-        note = "select the strategy explicitly with \
-                `with_repair_policy(RepairPolicy::Auto { frontier_threshold })`"
-    )]
-    #[must_use]
-    pub fn with_frontier_threshold(self, threshold: usize) -> Self {
-        self.with_repair_policy(RepairPolicy::Auto { frontier_threshold: threshold })
-    }
-
     /// The current graph.
     pub fn graph(&self) -> &Graph {
         &self.graph
@@ -255,12 +244,6 @@ impl DynamicColoring {
     /// The maintained coloring (always legal on [`DynamicColoring::graph`]).
     pub fn coloring(&self) -> &Coloring {
         &self.coloring
-    }
-
-    /// Applies one batch of insertions to the graph and repairs the coloring.
-    #[deprecated(since = "0.2.0", note = "use `apply(&[GraphUpdate::InsertEdges(..)])`")]
-    pub fn insert_edges(&mut self, edges: &[(Vertex, Vertex)]) -> Result<BatchOutcome, CoreError> {
-        self.apply(&[GraphUpdate::InsertEdges(edges.to_vec())])
     }
 
     /// Applies one batch of [`GraphUpdate`]s — mixed insertions and removals — and repairs
@@ -785,21 +768,5 @@ mod tests {
         let g = generators::cycle(4).unwrap();
         let illegal = Coloring::constant(&g);
         assert!(DynamicColoring::from_parts(g, illegal).is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn the_deprecated_shims_forward_to_the_new_api() {
-        let g = generators::cycle(8).unwrap();
-        let mut via_shim = DynamicColoring::new(g.clone()).unwrap().with_frontier_threshold(2);
-        assert_eq!(via_shim.repair_policy(), RepairPolicy::Auto { frontier_threshold: 2 });
-        let mut via_apply = DynamicColoring::new(g)
-            .unwrap()
-            .with_repair_policy(RepairPolicy::Auto { frontier_threshold: 2 });
-        let batch = [(0usize, 4usize), (1, 5)];
-        let a = via_shim.insert_edges(&batch).unwrap();
-        let b = via_apply.apply(&[GraphUpdate::InsertEdges(batch.to_vec())]).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(via_shim.coloring(), via_apply.coloring());
     }
 }

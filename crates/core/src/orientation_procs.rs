@@ -104,7 +104,7 @@ type BucketColorings = (Vec<(usize, u64)>, RoundReport, Vec<usize>);
 /// (see [`arbcolor_runtime::set_default_executor`]) the buckets are materialized and colored
 /// on a [`WorkPool`]; the result is identical either way.  Small graphs stay sequential —
 /// the recursive drivers invoke this on many tiny subgraphs, and those should not pay pool
-/// setup costs (the same rationale as the sharded executor's sequential cutoff).
+/// setup costs (the same rationale as the executor's sequential cutoff).
 fn color_buckets<F>(
     graph: &Graph,
     partition: &HPartition,

@@ -130,8 +130,7 @@ impl Graph {
         self.offsets[v]..self.offsets[v + 1]
     }
 
-    /// The arc indices owned by a contiguous vertex range (used by sharded executors to size
-    /// per-shard arc buffers; empty ranges yield empty spans).
+    /// The arc indices owned by a contiguous vertex range (empty ranges yield empty spans).
     ///
     /// # Panics
     ///

@@ -15,17 +15,19 @@
 //! * [`Executor`] — runs an algorithm on a graph until every node halts, returning the
 //!   per-vertex outputs and a [`RoundReport`] with round and message counts.  Delivery runs
 //!   on the arc-indexed message fabric (see [`network`]): O(1) mirror-table routing into
-//!   flat one-slot-per-port mailboxes, zero heap allocation per steady-state round.
+//!   flat one-slot-per-port mailboxes, zero heap allocation per steady-state round.  One
+//!   round loop serves every thread count: each round's frontier is stepped in fixed-size
+//!   chunks that workers claim off a shared iterator and that are committed in chunk order,
+//!   so outputs, rounds, and message counts are bit-identical at any thread count
+//!   ([`Executor::with_threads`]) and chunk size; at one thread the loop runs inline.
 //! * [`mod@reference`] — the pre-fabric `Vec<Vec<…>>` executor with linear-scan routing, kept
 //!   as the bit-identity oracle and the baseline the `routing` benches race against.
-//! * [`frontier`] — the epoch-stamped frontier bitmap and shared halt bookkeeping behind
-//!   both executors' O(|active|) rounds: delivery marks the receiver, programs self-schedule
+//! * [`frontier`] — the epoch-stamped frontier bitmap and halt bookkeeping behind the
+//!   executor's O(|active|) rounds: delivery marks the receiver, programs self-schedule
 //!   with [`NodeCtx::wake_next_round`], quiescent vertices cost nothing.
-//! * [`shard`] — the parallel simulator: a hand-rolled [`WorkPool`] and the
-//!   [`ShardedExecutor`], which work-steals fixed-size frontier chunks off a shared atomic
-//!   cursor yet commits results in chunk order, so outputs, rounds, and message counts are
-//!   bit-identical to [`Executor`] at any thread count and chunk size; plus the
-//!   process-wide [`ExecutorKind`] switch consulted by [`run_algorithm`].
+//! * [`shard`] — executor selection: the process-wide [`ExecutorKind`] switch consulted by
+//!   [`run_algorithm`], the default chunk size and sequential cutoff, and the hand-rolled
+//!   [`WorkPool`] the phase drivers use to color disjoint subgraphs in parallel.
 //! * [`composition`] — cost accounting for multi-phase algorithms (sequential phases add,
 //!   parallel executions on disjoint subgraphs take the maximum), mirroring how the paper
 //!   accounts for the recursion of Procedure Legal-Coloring, where disjoint subgraphs proceed
@@ -82,6 +84,6 @@ pub use reference::ReferenceExecutor;
 pub use shard::{
     default_chunk_size, default_executor, default_sequential_cutoff, run_algorithm,
     set_default_chunk_size, set_default_executor, set_default_sequential_cutoff, ExecutorKind,
-    PoolScope, ShardedExecutor, WorkPool,
+    WorkPool,
 };
 pub use trace::{RoundTrace, TraceConfig, TraceRecorder};

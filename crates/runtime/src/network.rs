@@ -1,4 +1,4 @@
-//! The synchronous executor and the arc-indexed message fabric.
+//! The executor and the arc-indexed message fabric.
 //!
 //! # The message fabric
 //!
@@ -31,14 +31,54 @@
 //! loop condition, round accounting, and termination check are unchanged, so rounds and
 //! message counts are bit-identical to the everyone-runs executor for any program honoring
 //! the activation contract of [`NodeProgram`].
+//!
+//! # Chunked rounds and the thread count
+//!
+//! Every step — `init` over `0..n`, then each round over its sorted frontier — is cut into
+//! fixed-size chunks of consecutive schedule entries.  A chunk covers a disjoint vertex
+//! range, so it carries its own `&mut` window of the node programs, and the workers of a
+//! [`WorkPool`] claim chunks off one shared iterator.  A worker buffers what a chunk
+//! produces (outgoing `(arc, message)` pairs in vertex-then-port order, halts, wakeups), and
+//! the buffers are committed **in chunk order**: the pending mailboxes then receive messages
+//! in ascending sender order, spill arrival included, whoever stepped which chunk.  The join at the end
+//! of each step is the round barrier, so no message of round `r` is observable before round
+//! `r + 1`.  Scheduling therefore decides *who* computes, never *what* is computed: every
+//! thread count and chunk size yields the same outputs, rounds, messages and bits
+//! (`tests/sharded_executor.rs` and the CI cross-executor diff enforce this).
+//!
+//! With one worker — the default, and every graph at or below the
+//! [sequential cutoff](Executor::with_sequential_cutoff) — the same loop runs inline on the
+//! caller's thread and commits each chunk as soon as it is stepped.  More workers are scoped
+//! threads spawned per step, and only for steps with more than one chunk; the executor runs
+//! the same `step_chunk` code either way.
+//!
+//! ```
+//! use arbcolor_graph::generators;
+//! use arbcolor_runtime::{algorithms::FloodMaxId, Executor};
+//!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let g = generators::cycle(64)?;
+//! let algorithm = FloodMaxId { rounds: 8 };
+//! let one = Executor::new(&g).run(&algorithm)?;
+//! let two = Executor::new(&g)
+//!     .with_threads(2)
+//!     .with_chunk_size(16)
+//!     .with_sequential_cutoff(0)
+//!     .run(&algorithm)?;
+//! assert_eq!(one.outputs, two.outputs);
+//! assert_eq!(one.report, two.report);
+//! # Ok(())
+//! # }
+//! ```
 
 use crate::cost::{default_cost_mode, BandwidthMeter, CostMode, MessageCost};
 use crate::frontier::{ActiveSet, Frontier};
 use crate::metrics::RoundReport;
 use crate::node::{Algorithm, Inbox, NeighborIds, NodeCtx, NodeProgram, Outbox, Status};
 use crate::obs;
+use crate::shard::{default_chunk_size, default_sequential_cutoff, WorkPool};
 use crate::trace::{RoundTrace, TraceConfig, TraceRecorder};
-use arbcolor_graph::{Graph, Vertex};
+use arbcolor_graph::{ArcIdx, Graph, Vertex};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -104,22 +144,45 @@ pub struct ExecutionResult<O> {
 /// [`Executor::run_traced`] returns on success.
 pub type TracedRun<O> = (ExecutionResult<O>, TraceRecorder);
 
-/// Runs [`Algorithm`]s on a [`Graph`] until every node halts.
+/// Runs [`Algorithm`]s on a [`Graph`] until every node halts, stepping each round's
+/// frontier in chunks on one or more worker threads (see the [module docs](self)); results
+/// are bit-identical at every thread count and chunk size.
 #[derive(Debug, Clone)]
 pub struct Executor<'g> {
     graph: &'g Graph,
     max_rounds: usize,
     cost_mode: CostMode,
+    threads: usize,
+    chunk_size: usize,
+    sequential_cutoff: usize,
 }
 
 impl<'g> Executor<'g> {
     /// Default safety limit on the number of rounds.
     pub const DEFAULT_MAX_ROUNDS: usize = 1_000_000;
 
-    /// Creates an executor for `graph` with the default round limit and the process-wide
-    /// default cost mode (see [`set_default_cost_mode`](crate::set_default_cost_mode)).
+    /// Graphs with at most this many vertices run on one worker whatever the thread count
+    /// (results are identical; threads only pay off once chunks hold real work).
+    pub const DEFAULT_SEQUENTIAL_CUTOFF: usize = 2048;
+
+    /// Default number of schedule entries per chunk: small enough to balance a skewed
+    /// frontier across workers, large enough to amortize the claim and the commit.
+    pub const DEFAULT_CHUNK_SIZE: usize = 1024;
+
+    /// Creates a one-thread executor for `graph` with the default round limit and the
+    /// process-wide default cost mode, chunk size and sequential cutoff (see
+    /// [`set_default_cost_mode`](crate::set_default_cost_mode),
+    /// [`set_default_chunk_size`](crate::set_default_chunk_size),
+    /// [`set_default_sequential_cutoff`](crate::set_default_sequential_cutoff)).
     pub fn new(graph: &'g Graph) -> Self {
-        Executor { graph, max_rounds: Self::DEFAULT_MAX_ROUNDS, cost_mode: default_cost_mode() }
+        Executor {
+            graph,
+            max_rounds: Self::DEFAULT_MAX_ROUNDS,
+            cost_mode: default_cost_mode(),
+            threads: 1,
+            chunk_size: default_chunk_size(),
+            sequential_cutoff: default_sequential_cutoff(),
+        }
     }
 
     /// Overrides the round limit (useful for tests that expect termination within a bound).
@@ -138,6 +201,29 @@ impl<'g> Executor<'g> {
         self
     }
 
+    /// Sets the worker-thread count (clamped to at least 1).
+    #[must_use]
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
+    }
+
+    /// Sets the number of schedule entries per chunk (clamped to at least 1).  The chunk
+    /// size never affects results — only how finely a step is dealt out to the workers.
+    #[must_use]
+    pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
+        self.chunk_size = chunk_size.max(1);
+        self
+    }
+
+    /// Sets the vertex count at or below which the run uses one worker whatever the thread
+    /// count.  Pass 0 to put even tiny graphs on every thread (the equivalence tests do).
+    #[must_use]
+    pub fn with_sequential_cutoff(mut self, cutoff: usize) -> Self {
+        self.sequential_cutoff = cutoff;
+        self
+    }
+
     /// The graph this executor runs on.
     pub fn graph(&self) -> &Graph {
         self.graph
@@ -149,25 +235,38 @@ impl<'g> Executor<'g> {
     ///
     /// Returns [`RuntimeError::RoundLimitExceeded`] if the algorithm does not terminate within
     /// the configured round limit.
-    pub fn run<A: Algorithm>(
+    pub fn run<A>(
         &self,
         algorithm: &A,
-    ) -> Result<ExecutionResult<<A::Node as NodeProgram>::Output>, RuntimeError> {
+    ) -> Result<ExecutionResult<<A::Node as NodeProgram>::Output>, RuntimeError>
+    where
+        A: Algorithm + Sync,
+        A::Node: Send,
+        <A::Node as NodeProgram>::Msg: Send + Sync,
+        <A::Node as NodeProgram>::Output: Send,
+    {
         self.run_inner(algorithm, None)
     }
 
     /// Runs `algorithm` like [`run`](Self::run), additionally recording one
     /// [`RoundTrace`] per round (frontier size, messages, halts, wall-clock) — the
-    /// instrumentation behind the per-round activity plots of experiment E21.
+    /// instrumentation behind the per-round activity plots of experiment E21.  Every column
+    /// but `wall_ns` is identical at every thread count and chunk size.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::RoundLimitExceeded`] if the algorithm does not terminate within
     /// the configured round limit.
-    pub fn run_traced<A: Algorithm>(
+    pub fn run_traced<A>(
         &self,
         algorithm: &A,
-    ) -> Result<TracedRun<<A::Node as NodeProgram>::Output>, RuntimeError> {
+    ) -> Result<TracedRun<<A::Node as NodeProgram>::Output>, RuntimeError>
+    where
+        A: Algorithm + Sync,
+        A::Node: Send,
+        <A::Node as NodeProgram>::Msg: Send + Sync,
+        <A::Node as NodeProgram>::Output: Send,
+    {
         self.run_traced_with(algorithm, TraceConfig::default())
     }
 
@@ -178,21 +277,33 @@ impl<'g> Executor<'g> {
     ///
     /// Returns [`RuntimeError::RoundLimitExceeded`] if the algorithm does not terminate within
     /// the configured round limit.
-    pub fn run_traced_with<A: Algorithm>(
+    pub fn run_traced_with<A>(
         &self,
         algorithm: &A,
         config: TraceConfig,
-    ) -> Result<TracedRun<<A::Node as NodeProgram>::Output>, RuntimeError> {
+    ) -> Result<TracedRun<<A::Node as NodeProgram>::Output>, RuntimeError>
+    where
+        A: Algorithm + Sync,
+        A::Node: Send,
+        <A::Node as NodeProgram>::Msg: Send + Sync,
+        <A::Node as NodeProgram>::Output: Send,
+    {
         let mut recorder = TraceRecorder::new();
         let result = self.run_inner(algorithm, Some((&mut recorder, config)))?;
         Ok((result, recorder))
     }
 
-    fn run_inner<A: Algorithm>(
+    fn run_inner<A>(
         &self,
         algorithm: &A,
         trace: Option<(&mut TraceRecorder, TraceConfig)>,
-    ) -> Result<ExecutionResult<<A::Node as NodeProgram>::Output>, RuntimeError> {
+    ) -> Result<ExecutionResult<<A::Node as NodeProgram>::Output>, RuntimeError>
+    where
+        A: Algorithm + Sync,
+        A::Node: Send,
+        <A::Node as NodeProgram>::Msg: Send + Sync,
+        <A::Node as NodeProgram>::Output: Send,
+    {
         let span = obs::exec_span(algorithm.name());
         let (mut trace, trace_config) = match trace {
             Some((recorder, config)) => (Some(recorder), config),
@@ -206,44 +317,39 @@ impl<'g> Executor<'g> {
             graph.vertices().map(|v| node_ctx(graph, v, id_space, &id_table)).collect();
         let mut nodes: Vec<A::Node> = contexts.iter().map(|ctx| algorithm.node(ctx)).collect();
         let mut active = ActiveSet::new(n);
-        let mut frontier = Frontier::new(n);
-        let mut schedule: Vec<Vertex> = Vec::new();
         let mut report = RoundReport::zero();
-
-        // The double-buffered flat mailboxes (one slot per arc) and the single outbox
-        // every vertex reuses: after the warm-up fills below, a round performs no heap
-        // allocation on the one-message-per-port fast path.
-        let mut pending: ArcMailboxes<<A::Node as NodeProgram>::Msg> =
-            ArcMailboxes::new(graph.arc_span(0..n));
-        let mut inboxes: ArcMailboxes<<A::Node as NodeProgram>::Msg> =
-            ArcMailboxes::new(graph.arc_span(0..n));
-        let mut outbox = Outbox::new(0);
-        let mut meter = BandwidthMeter::new(graph.num_arcs());
+        let stepper = Stepper {
+            graph,
+            contexts: &contexts,
+            workers: if n <= self.sequential_cutoff { 1 } else { self.threads },
+            chunk_size: self.chunk_size,
+        };
+        // The double-buffered flat mailboxes (one slot per arc): after the warm-up fills, a
+        // round performs no heap allocation on the one-message-per-port fast path.
+        let mut inboxes = ArcMailboxes::new(graph.num_arcs());
+        let mut round = RoundSink {
+            pending: ArcMailboxes::new(graph.num_arcs()),
+            frontier: Frontier::new(n),
+            meter: BandwidthMeter::new(graph.num_arcs()),
+            halted: Vec::new(),
+            messages: 0,
+            stepped: 0,
+        };
 
         // Initialization: local computation plus the sends of the first round.  `init` runs
         // for every vertex; from here on only the frontier is stepped.
-        let mut any_outgoing = false;
-        for v in 0..n {
-            outbox.reset(contexts[v].degree);
-            let status = nodes[v].init(&contexts[v], &mut outbox);
-            let woke = contexts[v].take_wake();
-            if status == Status::Halted {
-                active.halt(v);
-            } else if woke {
-                frontier.mark(v);
-            }
-            any_outgoing |= !outbox.is_empty();
-            deliver(graph, v, &mut outbox, &mut pending, &mut report, &mut frontier, &mut meter);
-        }
+        let mut schedule: Vec<Vertex> = (0..n).collect();
+        stepper.step(&mut nodes, &schedule, &inboxes, true, &mut active, &mut round);
+        report.messages += round.messages;
         // Delivery-side trace attribution: round `r` records the messages and bits it
         // *delivers* (sent in round `r − 1`; round 1 carries the `init` sends), so the
         // per-round columns sum bit-exactly to the headline report.
-        let mut carry_messages = report.messages;
+        let mut carry_messages = round.messages;
         let mut carry_bits =
-            meter.finish_round(graph, report.rounds + 1, self.cost_mode, &mut report)?;
+            round.meter.finish_round(graph, report.rounds + 1, self.cost_mode, &mut report)?;
 
         // Main loop: one iteration = one synchronous round.
-        while active.count() > 0 || any_outgoing {
+        while active.count() > 0 || round.messages > 0 {
             if report.rounds >= self.max_rounds {
                 return Err(RuntimeError::RoundLimitExceeded {
                     limit: self.max_rounds,
@@ -251,71 +357,37 @@ impl<'g> Executor<'g> {
                 });
             }
             report.rounds += 1;
-            std::mem::swap(&mut pending, &mut inboxes);
-            pending.clear();
+            std::mem::swap(&mut round.pending, &mut inboxes);
+            round.pending.clear();
             inboxes.seal();
-            frontier.take(&mut schedule);
+            round.frontier.take(&mut schedule);
 
             let round_started = trace.as_ref().map(|_| std::time::Instant::now());
             let active_at_start = active.count();
-            let messages_before = report.messages;
-            let mut halted_this_round: Vec<usize> = Vec::new();
-            let mut halts_this_round = 0usize;
-            let mut stepped = 0usize;
-
-            any_outgoing = false;
-            let mut cursor = MailboxCursor::default();
-            for &v in &schedule {
-                let arcs = graph.arc_range(v);
-                let window = cursor.advance(&inboxes, arcs.end);
-                if !active.is_active(v) {
-                    // Mail to a halted vertex: consume the window, drop the messages (they
-                    // were counted at send time), exactly as before the frontier.
-                    continue;
-                }
-                stepped += 1;
-                let inbox = inboxes.read(window, arcs);
-                outbox.reset(contexts[v].degree);
-                let status = nodes[v].round(&contexts[v], &inbox, &mut outbox);
-                let woke = contexts[v].take_wake();
-                if status == Status::Halted {
-                    active.halt(v);
-                    halts_this_round += 1;
-                    if trace_config.capture_halted && trace.is_some() {
-                        halted_this_round.push(v);
-                    }
-                } else if woke {
-                    frontier.mark(v);
-                }
-                any_outgoing |= !outbox.is_empty();
-                deliver(
-                    graph,
-                    v,
-                    &mut outbox,
-                    &mut pending,
-                    &mut report,
-                    &mut frontier,
-                    &mut meter,
-                );
-            }
+            stepper.step(&mut nodes, &schedule, &inboxes, false, &mut active, &mut round);
+            report.messages += round.messages;
             let round_bits =
-                meter.finish_round(graph, report.rounds + 1, self.cost_mode, &mut report)?;
+                round.meter.finish_round(graph, report.rounds + 1, self.cost_mode, &mut report)?;
             if let Some(recorder) = trace.as_deref_mut() {
                 recorder.record(RoundTrace {
                     round: report.rounds,
                     active_nodes: active_at_start,
-                    frontier: stepped,
+                    frontier: round.stepped,
                     messages: carry_messages,
                     total_bits: carry_bits.total,
                     max_edge_bits: carry_bits.max_edge,
-                    halts: halts_this_round,
-                    halted: halted_this_round,
+                    halts: round.halted.len(),
+                    halted: if trace_config.capture_halted {
+                        round.halted.clone()
+                    } else {
+                        Vec::new()
+                    },
                     wall_ns: round_started
                         .map(|t| t.elapsed().as_nanos().min(u64::MAX as u128) as u64)
                         .unwrap_or(0),
                 });
             }
-            carry_messages = report.messages - messages_before;
+            carry_messages = round.messages;
             carry_bits = round_bits;
             if active.count() == 0 {
                 break;
@@ -333,6 +405,182 @@ impl<'g> Executor<'g> {
     }
 }
 
+/// Steps one schedule in chunks: the read-only half of a run, shared by every worker.
+struct Stepper<'a> {
+    graph: &'a Graph,
+    contexts: &'a [NodeCtx],
+    /// Worker threads for this run (1 at or below the sequential cutoff).
+    workers: usize,
+    chunk_size: usize,
+}
+
+/// A chunk: its run of schedule entries and the `&mut` node programs of the vertex range
+/// `first..=last` those entries span.
+struct Chunk<'a, N> {
+    vertices: &'a [Vertex],
+    first: Vertex,
+    nodes: &'a mut [N],
+}
+
+/// Everything one chunk produced, buffered for an in-order commit: outgoing
+/// `(receiver arc, message)` pairs in vertex-then-port order (the arc pins both the receiving
+/// vertex and its port), plus the vertices that halted or scheduled a wakeup.
+struct ChunkOut<M> {
+    outgoing: Vec<(ArcIdx, M)>,
+    halts: Vec<Vertex>,
+    wakeups: Vec<Vertex>,
+    /// Vertices actually stepped (the chunk's share of the round frontier).
+    stepped: usize,
+}
+
+impl<M> Default for ChunkOut<M> {
+    fn default() -> Self {
+        ChunkOut { outgoing: Vec::new(), halts: Vec::new(), wakeups: Vec::new(), stepped: 0 }
+    }
+}
+
+impl Stepper<'_> {
+    /// Runs `init` (when `init` is set) or `round` for every active vertex of `schedule`
+    /// (ascending, duplicate-free), commits the chunks to `sink` in chunk order, then applies
+    /// the step's halts to `active` (each vertex is stepped at most once per step, so no
+    /// vertex can observe a halt of the same step).
+    fn step<N>(
+        &self,
+        nodes: &mut [N],
+        schedule: &[Vertex],
+        mail: &ArcMailboxes<N::Msg>,
+        init: bool,
+        active: &mut ActiveSet,
+        sink: &mut RoundSink<N::Msg>,
+    ) where
+        N: NodeProgram + Send,
+        N::Msg: Send + Sync,
+    {
+        sink.messages = 0;
+        sink.stepped = 0;
+        sink.halted.clear();
+        let chunks = deal_chunks(schedule, nodes, self.chunk_size);
+        let workers = self.workers.min(schedule.len().div_ceil(self.chunk_size));
+        let alive = &*active;
+        if workers <= 1 {
+            let (mut outbox, mut out) = (Outbox::new(0), ChunkOut::default());
+            for chunk in chunks {
+                self.step_chunk(chunk, mail, init, alive, &mut outbox, &mut out);
+                sink.commit(self.graph, &mut out);
+            }
+        } else {
+            let outs = WorkPool::new(workers).map(chunks.collect(), |_, chunk| {
+                let mut out = ChunkOut::default();
+                self.step_chunk(chunk, mail, init, alive, &mut Outbox::new(0), &mut out);
+                out
+            });
+            for mut out in outs {
+                sink.commit(self.graph, &mut out);
+            }
+        }
+        for &v in &sink.halted {
+            active.halt(v);
+        }
+    }
+
+    /// Steps one chunk into `out`, reading its mail through one cursor positioned at the
+    /// chunk's first vertex.
+    fn step_chunk<N: NodeProgram>(
+        &self,
+        chunk: Chunk<'_, N>,
+        mail: &ArcMailboxes<N::Msg>,
+        init: bool,
+        active: &ActiveSet,
+        outbox: &mut Outbox<N::Msg>,
+        out: &mut ChunkOut<N::Msg>,
+    ) {
+        let graph = self.graph;
+        let mirror = graph.mirror_arcs();
+        let mut cursor = MailboxCursor::at(mail, graph.arc_range(chunk.first).start);
+        for &v in chunk.vertices {
+            let arcs = graph.arc_range(v);
+            let first_arc = arcs.start;
+            let window = cursor.advance(mail, arcs.end);
+            if !active.is_active(v) {
+                // Mail to a halted vertex: consume the window, drop the messages (they were
+                // counted at send time).
+                continue;
+            }
+            out.stepped += 1;
+            let ctx = &self.contexts[v];
+            let node = &mut chunk.nodes[v - chunk.first];
+            outbox.reset(ctx.degree);
+            let status = if init {
+                node.init(ctx, outbox)
+            } else {
+                node.round(ctx, &mail.read(window, arcs), outbox)
+            };
+            let woke = ctx.take_wake();
+            if status == Status::Halted {
+                out.halts.push(v);
+            } else if woke {
+                out.wakeups.push(v);
+            }
+            for (port, message) in outbox.drain() {
+                out.outgoing.push((mirror[first_arc + port], message));
+            }
+        }
+    }
+}
+
+/// Deals `schedule` (ascending, duplicate-free) out in chunks of `size` entries, each paired
+/// with the disjoint `&mut` window of `nodes` its vertices span.
+fn deal_chunks<'a, N>(
+    schedule: &'a [Vertex],
+    mut nodes: &'a mut [N],
+    size: usize,
+) -> impl Iterator<Item = Chunk<'a, N>> {
+    let mut offset = 0;
+    schedule.chunks(size).map(move |vertices| {
+        let (first, last) = (vertices[0], vertices[vertices.len() - 1]);
+        let (_, rest) = std::mem::take(&mut nodes).split_at_mut(first - offset);
+        let (window, rest) = rest.split_at_mut(last + 1 - first);
+        nodes = rest;
+        offset = last + 1;
+        Chunk { vertices, first, nodes: window }
+    })
+}
+
+/// The write-only half of a run: where committed chunks land, plus the current step's
+/// tallies.
+struct RoundSink<M> {
+    /// The mailboxes the next round reads.
+    pending: ArcMailboxes<M>,
+    /// The next round's schedule: every receiver and every self-scheduled wakeup.
+    frontier: Frontier,
+    meter: BandwidthMeter,
+    /// Vertices that halted in the current step, ascending.
+    halted: Vec<Vertex>,
+    /// Messages committed in the current step.
+    messages: usize,
+    /// Vertices stepped in the current step.
+    stepped: usize,
+}
+
+impl<M: MessageCost> RoundSink<M> {
+    /// Commits one chunk and empties `out` for reuse: pushes its messages into the pending
+    /// mailboxes, charges each message's measured width to its arc, marks every receiver and
+    /// wakeup in the frontier, and records the halts.
+    fn commit(&mut self, graph: &Graph, out: &mut ChunkOut<M>) {
+        self.messages += out.outgoing.len();
+        self.stepped += std::mem::take(&mut out.stepped);
+        for (arc, message) in out.outgoing.drain(..) {
+            self.meter.add(arc, message.encoded_bits());
+            self.pending.push(arc, message);
+            self.frontier.mark(arc_owner(graph, arc));
+        }
+        for v in out.wakeups.drain(..) {
+            self.frontier.mark(v);
+        }
+        self.halted.append(&mut out.halts);
+    }
+}
+
 /// Upper bound on the identifier space of `graph` as exposed through [`NodeCtx::id_space`].
 pub(crate) fn id_space_of(graph: &Graph) -> u64 {
     graph.ids().iter().copied().max().unwrap_or(0).max(graph.n() as u64)
@@ -340,13 +588,13 @@ pub(crate) fn id_space_of(graph: &Graph) -> u64 {
 
 /// Builds the CSR-shaped neighbor-identifier table shared by every [`NodeCtx`] of an
 /// execution: `table[a] = id(arc_target(a))`.  One allocation per run, borrowed by all
-/// contexts, under both executors.
+/// contexts, under the executor and the reference executor alike.
 pub(crate) fn neighbor_id_table(graph: &Graph) -> Arc<[u64]> {
     (0..graph.num_arcs()).map(|a| graph.id(graph.arc_target(a))).collect()
 }
 
-/// Builds the [`NodeCtx`] of vertex `v` (shared by the sequential and sharded executors so
-/// node programs observe byte-identical contexts under either).
+/// Builds the [`NodeCtx`] of vertex `v` (shared with the reference executor so node programs
+/// observe byte-identical contexts under either).
 pub(crate) fn node_ctx(graph: &Graph, v: usize, id_space: u64, id_table: &Arc<[u64]>) -> NodeCtx {
     NodeCtx::new(
         v,
@@ -367,11 +615,9 @@ pub(crate) fn arc_owner(graph: &Graph, arc: usize) -> Vertex {
 
 /// The flat arc-indexed mailbox buffer of one executor side (pending or inbox).
 ///
-/// Covers a contiguous arc span (the whole graph for the sequential executor, one shard's
-/// arcs for the sharded one).  `slots[a - span.start]` holds the first message delivered to
-/// arc `a` in the current round; additional messages to the same arc overflow into `spill`
-/// in arrival order.  `filled` lists the occupied arcs so clearing is O(messages), not
-/// O(arcs).
+/// `slots[a]` holds the first message delivered to arc `a` in the current round; additional
+/// messages to the same arc overflow into `spill` in arrival order.  `filled` lists the
+/// occupied arcs so clearing is O(messages), not O(arcs).
 pub(crate) struct ArcMailboxes<M> {
     /// First (usually only) message per arc this round.
     slots: Vec<Option<M>>,
@@ -380,25 +626,22 @@ pub(crate) struct ArcMailboxes<M> {
     /// Overflow messages as `(arc, message)`, arrival order; stably sorted by arc by
     /// [`ArcMailboxes::seal`].
     spill: Vec<(usize, M)>,
-    /// First arc index covered by this buffer.
-    base: usize,
 }
 
 impl<M> ArcMailboxes<M> {
-    /// An empty buffer covering the given arc span.
-    pub(crate) fn new(span: std::ops::Range<usize>) -> Self {
+    /// An empty buffer over `num_arcs` arcs.
+    pub(crate) fn new(num_arcs: usize) -> Self {
         ArcMailboxes {
-            slots: (0..span.len()).map(|_| None).collect(),
+            slots: (0..num_arcs).map(|_| None).collect(),
             filled: Vec::new(),
             spill: Vec::new(),
-            base: span.start,
         }
     }
 
-    /// Delivers `message` to `arc` (a global arc index inside this buffer's span).
+    /// Delivers `message` to `arc`.
     #[inline]
     pub(crate) fn push(&mut self, arc: usize, message: M) {
-        let slot = &mut self.slots[arc - self.base];
+        let slot = &mut self.slots[arc];
         if slot.is_none() {
             *slot = Some(message);
             self.filled.push(arc);
@@ -420,32 +663,20 @@ impl<M> ArcMailboxes<M> {
     /// Empties the buffer in O(messages), retaining all capacity.
     pub(crate) fn clear(&mut self) {
         for &arc in &self.filled {
-            self.slots[arc - self.base] = None;
+            self.slots[arc] = None;
         }
         self.filled.clear();
         self.spill.clear();
     }
 
-    /// The inbox of the vertex owning `arcs`, given its `window` from a [`MailboxCursor`] or
-    /// [`ArcMailboxes::window_of`].
+    /// The inbox of the vertex owning `arcs`, given its `window` from a [`MailboxCursor`].
     pub(crate) fn read(&self, window: MailboxWindow, arcs: std::ops::Range<usize>) -> Inbox<'_, M> {
         Inbox::from_slots(
-            &self.slots[arcs.start - self.base..arcs.end - self.base],
+            &self.slots[arcs.clone()],
             &self.filled[window.filled],
             &self.spill[window.spill],
             arcs.start,
         )
-    }
-
-    /// The [`MailboxWindow`] of the vertex owning `arcs` in a **sealed** buffer, by binary
-    /// search — O(log messages), position-independent, so the work-stealing executor can
-    /// resolve windows for arbitrary frontier chunks without a sequential cursor walk.
-    pub(crate) fn window_of(&self, arcs: std::ops::Range<usize>) -> MailboxWindow {
-        let filled_start = self.filled.partition_point(|&a| a < arcs.start);
-        let filled_end = self.filled.partition_point(|&a| a < arcs.end);
-        let spill_start = self.spill.partition_point(|&(a, _)| a < arcs.start);
-        let spill_end = self.spill.partition_point(|&(a, _)| a < arcs.end);
-        MailboxWindow { filled: filled_start..filled_end, spill: spill_start..spill_end }
     }
 }
 
@@ -458,13 +689,21 @@ pub(crate) struct MailboxWindow {
 
 /// Walks a sealed [`ArcMailboxes`] in ascending vertex order, handing each vertex its
 /// [`MailboxWindow`] in O(messages for that vertex) amortized.
-#[derive(Default)]
 pub(crate) struct MailboxCursor {
     filled_pos: usize,
     spill_pos: usize,
 }
 
 impl MailboxCursor {
+    /// A cursor at the first entry with arc `>= arc_start`, found by binary search — so a
+    /// chunk of any frontier can start its walk without a cursor walk from arc 0.
+    pub(crate) fn at<M>(mail: &ArcMailboxes<M>, arc_start: usize) -> Self {
+        MailboxCursor {
+            filled_pos: mail.filled.partition_point(|&a| a < arc_start),
+            spill_pos: mail.spill.partition_point(|&(a, _)| a < arc_start),
+        }
+    }
+
     /// Consumes all fill/spill entries with arc `< arc_end` (the current vertex's arcs;
     /// callers must advance vertices in ascending order).
     pub(crate) fn advance<M>(&mut self, mail: &ArcMailboxes<M>, arc_end: usize) -> MailboxWindow {
@@ -477,33 +716,6 @@ impl MailboxCursor {
             self.spill_pos += 1;
         }
         MailboxWindow { filled: filled_start..self.filled_pos, spill: spill_start..self.spill_pos }
-    }
-}
-
-/// Routes the outbox of `sender` into the pending flat mailboxes: one mirror-table read per
-/// message, no `port_of` scan, no allocation (the outbox is drained in place and reused).
-/// Every delivery marks the receiver in `frontier` so it is stepped in the next round, and
-/// charges the message's measured width to the receiving arc in `meter`.
-#[inline]
-pub(crate) fn deliver<M>(
-    graph: &Graph,
-    sender: usize,
-    outbox: &mut Outbox<M>,
-    pending: &mut ArcMailboxes<M>,
-    report: &mut RoundReport,
-    frontier: &mut Frontier,
-    meter: &mut BandwidthMeter,
-) where
-    M: Clone + MessageCost,
-{
-    let first_arc = graph.arc_range(sender).start;
-    let mirror = graph.mirror_arcs();
-    for (port, message) in outbox.drain() {
-        let arc = first_arc + port;
-        meter.add(mirror[arc], message.encoded_bits());
-        pending.push(mirror[arc], message);
-        frontier.mark(graph.arc_target(arc));
-        report.messages += 1;
     }
 }
 
@@ -608,13 +820,27 @@ mod tests {
     #[test]
     fn multiple_messages_per_port_take_the_spill_path_in_send_order() {
         let g = generators::path(3).unwrap(); // vertex 1 has ports to 0 and 2
-        let result = Executor::new(&g).run(&DoubleSend).unwrap();
-        assert_eq!(result.report.messages, 2 * 2 * g.m());
         let id = |v: usize| g.id(v);
-        assert_eq!(
-            result.outputs[1],
-            vec![(0, id(0) * 10), (0, id(0) * 10 + 1), (1, id(2) * 10), (1, id(2) * 10 + 1),]
-        );
-        assert_eq!(result.outputs[0], vec![(0, id(1) * 10), (0, id(1) * 10 + 1)]);
+        let mut executors = vec![Executor::new(&g)];
+        for threads in [1usize, 2, 4] {
+            for chunk_size in [1usize, 4096] {
+                executors.push(
+                    Executor::new(&g)
+                        .with_threads(threads)
+                        .with_chunk_size(chunk_size)
+                        .with_sequential_cutoff(0),
+                );
+            }
+        }
+        for executor in executors {
+            let result = executor.run(&DoubleSend).unwrap();
+            assert_eq!(result.report.messages, 2 * 2 * g.m());
+            assert_eq!(
+                result.outputs[1],
+                vec![(0, id(0) * 10), (0, id(0) * 10 + 1), (1, id(2) * 10), (1, id(2) * 10 + 1),],
+                "{executor:?}"
+            );
+            assert_eq!(result.outputs[0], vec![(0, id(1) * 10), (0, id(1) * 10 + 1)]);
+        }
     }
 }

@@ -87,8 +87,8 @@ pub struct NodeCtx {
     /// Backed by one table shared across all contexts of an execution.
     pub neighbor_ids: NeighborIds,
     /// Set by [`NodeCtx::wake_next_round`], drained by the executors after every `init`/
-    /// `round` call.  Atomic (not `Cell`) so contexts can be shared across the worker
-    /// threads of the work-stealing executor.
+    /// `round` call.  Atomic (not `Cell`) so contexts can be shared across the executor's
+    /// worker threads.
     wake: AtomicBool,
 }
 

@@ -1,98 +1,53 @@
-//! Parallel execution of LOCAL algorithms by deterministic work-stealing.
+//! Executor selection and the thread pool of the parallel phase drivers.
 //!
-//! The LOCAL model charges one round of cost for all vertices acting *in parallel*, but the
-//! sequential [`Executor`] simulates every node program on one thread, so
-//! wall-clock time scales far worse than the round complexity the algorithms promise.  This
-//! module closes that gap without giving up determinism:
-//!
-//! * [`WorkPool`] — a hand-rolled fixed-size work pool built from `std::thread` and `mpsc`
-//!   channels only (the build environment has no registry access, so no rayon).  A pool is
-//!   cheap to construct; [`WorkPool::scope`] spawns the workers, runs a closure that may
-//!   submit any number of fork/join batches through [`PoolScope::map`], and joins all
-//!   workers before returning.
-//! * [`ShardedExecutor`] — steps each round's frontier (see [`frontier`](crate::frontier))
-//!   in fixed-size chunks that worker threads **steal** off a shared atomic cursor.  The
-//!   frontier replaces the fixed contiguous vertex shards of earlier revisions: work
-//!   follows the vertices that actually act, so a round costs O(|frontier| + messages)
-//!   regardless of `n`, and a collapsing frontier no longer leaves most workers idling over
-//!   finalized vertices.
-//! * [`ExecutorKind`] — a value describing which executor to use, plus a process-wide
-//!   default ([`set_default_executor`]/[`default_executor`]) consulted by
+//! * [`ExecutorKind`] — a value describing which executor configuration to use, plus a
+//!   process-wide default ([`set_default_executor`]/[`default_executor`]) consulted by
 //!   [`run_algorithm`], the entry point the algorithm drivers across the workspace go
-//!   through.  Flipping the default reconfigures the whole stack.
-//!
-//! # Determinism guarantee
-//!
-//! For every graph, algorithm, chunk size, and thread count, [`ShardedExecutor::run`]
-//! produces **bit-identical** outputs, round counts, and message counts to the sequential
-//! [`Executor`].  The argument:
-//!
-//! 1. The round's work list is the sorted frontier — a deterministic vertex sequence fixed
-//!    *before* any worker runs — split into fixed-size chunks.  The atomic claim cursor
-//!    only decides **which worker** steps which chunk, never the chunk contents.
-//! 2. Workers buffer everything they produce (outgoing `(arc, message)` pairs in
-//!    vertex-then-port order, halts, wakeups) into per-chunk results; nothing is applied
-//!    concurrently.  The coordinator then commits the chunks **in chunk order**, so the
-//!    pending mailboxes receive messages in ascending sender order — exactly the order the
-//!    sequential delivery loop produces, spill arrival included.
-//! 3. The per-round barrier (the fork/join of [`PoolScope::map`]) makes the exchange
-//!    synchronous: no message produced in round `r` is observable before round `r + 1`.
-//!
-//! Scheduling therefore decides *who* computes, never *what* is computed: any thread count
-//! (including 1) and any chunk size yield the same execution.  The cross-crate suite
-//! `tests/sharded_executor.rs` and the CI cross-executor diff enforce this at thread counts
-//! {1, 2, 4} × chunk sizes {1, 64, 4096}.
+//!   through.  Flipping the default reconfigures the whole stack.  `Sequential` and
+//!   `Sharded` are the same [`Executor`] at one or more threads (see
+//!   [`network`](crate::network) for why every thread count and chunk size gives
+//!   bit-identical results); `Reference` is the [`ReferenceExecutor`] oracle.
+//! * The process-wide chunk size and sequential cutoff new executors start from
+//!   ([`set_default_chunk_size`], [`set_default_sequential_cutoff`]).
+//! * [`WorkPool`] — a hand-rolled fixed-size work pool built from scoped `std::thread`s only
+//!   (the build environment has no registry access, so no rayon).  [`WorkPool::map`] is a
+//!   fork/join batch whose results come back in item order; the executor steps multi-chunk
+//!   rounds on it, and the phase drivers color disjoint subgraphs on it.
 //!
 //! # Example
 //!
 //! ```
 //! use arbcolor_graph::generators;
-//! use arbcolor_runtime::{algorithms::FloodMaxId, Executor, ShardedExecutor};
+//! use arbcolor_runtime::{algorithms::FloodMaxId, ExecutorKind};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let g = generators::cycle(64)?;
 //! let algorithm = FloodMaxId { rounds: 8 };
-//! let sequential = Executor::new(&g).run(&algorithm)?;
-//! let stolen = ShardedExecutor::new(&g)
-//!     .with_threads(2)
-//!     .with_chunk_size(16)
-//!     .with_sequential_cutoff(0)
-//!     .run(&algorithm)?;
+//! let sequential = ExecutorKind::Sequential.run(&g, &algorithm)?;
+//! let stolen = ExecutorKind::Sharded { threads: 2, chunk_size: 16 }.run(&g, &algorithm)?;
 //! assert_eq!(sequential.outputs, stolen.outputs);
 //! assert_eq!(sequential.report, stolen.report);
 //! # Ok(())
 //! # }
 //! ```
 
-use crate::cost::{default_cost_mode, BandwidthMeter, CostMode, MessageCost};
-use crate::frontier::{ActiveSet, Frontier};
-use crate::metrics::RoundReport;
-use crate::network::{
-    arc_owner, id_space_of, neighbor_id_table, node_ctx, ArcMailboxes, ExecutionResult, Executor,
-    RuntimeError, TracedRun,
-};
-use crate::node::{Algorithm, NodeCtx, NodeProgram, Outbox, Status};
-use crate::obs;
+use crate::network::{ExecutionResult, Executor, RuntimeError};
+use crate::node::{Algorithm, NodeProgram};
 use crate::reference::ReferenceExecutor;
-use crate::trace::{RoundTrace, TraceConfig, TraceRecorder};
-use arbcolor_graph::{ArcIdx, Graph, Vertex};
+use arbcolor_graph::Graph;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::Mutex;
 
 // ---------------------------------------------------------------------------
 // Work pool
 // ---------------------------------------------------------------------------
 
-/// A unit of work shipped to a pool worker.
-type Job<'env> = Box<dyn FnOnce() + Send + 'env>;
-
-/// A hand-rolled fixed-size work pool: plain `std::thread` workers fed through `mpsc`
-/// channels.
+/// A hand-rolled fixed-size work pool: plain scoped `std::thread` workers, no external
+/// crates.
 ///
-/// The pool itself is just a thread count; [`WorkPool::scope`] spawns the workers inside a
-/// [`std::thread::scope`], so jobs may borrow data that outlives the scope call, and every
-/// worker is joined before `scope` returns.  Use [`PoolScope::map`] for fork/join batches,
-/// or the [`WorkPool::map`] convenience wrapper for a one-shot batch.
+/// The pool itself is just a thread count.  [`WorkPool::map`] spawns the helper threads
+/// inside a [`std::thread::scope`] (so jobs may borrow local data), lets the caller's thread
+/// work alongside them, and joins every helper before it returns.
 #[derive(Debug, Clone)]
 pub struct WorkPool {
     threads: usize,
@@ -104,99 +59,44 @@ impl WorkPool {
         WorkPool { threads: threads.max(1) }
     }
 
-    /// Number of worker threads this pool spawns.
+    /// Number of worker threads this pool runs jobs on, the caller's included.
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Spawns the workers, runs `f` with a [`PoolScope`] handle for submitting fork/join
-    /// batches, then shuts the workers down and joins them.
+    /// Applies `f` to every item and returns the results in item order, so the output is
+    /// independent of scheduling.  Workers claim items one at a time off a shared iterator;
+    /// with one worker, or one item, everything runs inline on the caller's thread.
     ///
-    /// Jobs submitted through the scope must not themselves submit to the same scope (the
-    /// API makes this impossible: jobs never see the [`PoolScope`]).
-    pub fn scope<'env, R>(&self, f: impl FnOnce(&PoolScope<'env>) -> R) -> R {
-        std::thread::scope(|s| {
-            let mut workers = Vec::with_capacity(self.threads);
-            for _ in 0..self.threads {
-                let (sender, receiver) = mpsc::channel::<Job<'env>>();
-                s.spawn(move || {
-                    while let Ok(job) = receiver.recv() {
-                        job();
-                    }
-                });
-                workers.push(sender);
-            }
-            f(&PoolScope { workers })
-            // `PoolScope` (and with it every job sender) drops here, the workers' receive
-            // loops end, and `std::thread::scope` joins them all.
-        })
-    }
-
-    /// One-shot fork/join: spawns the workers, maps `f` over `items`, joins the workers.
+    /// # Panics
     ///
-    /// Results are returned in item order; see [`PoolScope::map`].
+    /// Panics if `f` panics on any worker.
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
-        F: Fn(usize, T) -> R + Send + Sync,
+        F: Fn(usize, T) -> R + Sync,
     {
-        self.scope(|scope| scope.map(items, f))
-    }
-}
-
-/// Handle for submitting fork/join batches to a live [`WorkPool`] scope.
-#[derive(Debug)]
-pub struct PoolScope<'env> {
-    workers: Vec<mpsc::Sender<Job<'env>>>,
-}
-
-impl<'env> PoolScope<'env> {
-    /// Applies `f` to every item, distributing items round-robin over the workers, and
-    /// blocks until all results are in.  Results are returned in item order, so the output
-    /// is independent of scheduling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a job panics on a worker (the worker's panic is also propagated when the
-    /// enclosing [`WorkPool::scope`] joins its threads).
-    pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
-    where
-        T: Send + 'env,
-        R: Send + 'env,
-        F: Fn(usize, T) -> R + Send + Sync + 'env,
-    {
-        let count = items.len();
-        if count == 0 {
-            return Vec::new();
-        }
-        if self.workers.len() == 1 || count == 1 {
-            // A single worker executes submissions in item order anyway; skip the channel
-            // round-trips and run inline.
-            return items.into_iter().enumerate().map(|(i, item)| f(i, item)).collect();
-        }
-        let f = Arc::new(f);
-        let (results_in, results_out) = mpsc::channel::<(usize, R)>();
-        for (index, item) in items.into_iter().enumerate() {
-            let f = Arc::clone(&f);
-            let results_in = results_in.clone();
-            let worker = &self.workers[index % self.workers.len()];
-            worker
-                .send(Box::new(move || {
-                    // The coordinator may stop listening only after receiving all results,
-                    // so this send can only fail during panic unwinding; ignore it then.
-                    let _ = results_in.send((index, f(index, item)));
-                }))
-                .expect("pool worker exited before the scope ended");
-        }
-        drop(results_in);
-        let mut slots: Vec<Option<R>> = (0..count).map(|_| None).collect();
-        for _ in 0..count {
-            let (index, result) =
-                results_out.recv().expect("a pool worker panicked while running a job");
-            slots[index] = Some(result);
-        }
-        slots.into_iter().map(|slot| slot.expect("every job reports exactly once")).collect()
+        let helpers = self.threads.min(items.len()).saturating_sub(1);
+        let claim = Mutex::new(items.into_iter().enumerate());
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let next = claim.lock().expect("a pool worker panicked while claiming").next();
+                let Some((index, item)) = next else { return done };
+                done.push((index, f(index, item)));
+            }
+        };
+        let mut results = std::thread::scope(|s| {
+            let helpers: Vec<_> = (0..helpers).map(|_| s.spawn(work)).collect();
+            let mut results = work();
+            for helper in helpers {
+                results.extend(helper.join().expect("a pool worker panicked while running a job"));
+            }
+            results
+        });
+        results.sort_unstable_by_key(|&(index, _)| index);
+        results.into_iter().map(|(_, result)| result).collect()
     }
 }
 
@@ -207,13 +107,13 @@ impl<'env> PoolScope<'env> {
 /// Which simulator implementation to run an algorithm on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutorKind {
-    /// The single-threaded [`Executor`] on the flat message fabric.
+    /// The [`Executor`] on one thread.
     Sequential,
-    /// The work-stealing [`ShardedExecutor`] with explicit thread count and chunk size.
+    /// The [`Executor`] with explicit thread count and chunk size.
     Sharded {
-        /// Worker threads of the pool.
+        /// Worker threads.
         threads: usize,
-        /// Vertices per stolen frontier chunk; 0 means "use the process-wide default"
+        /// Schedule entries per chunk; 0 means "use the process-wide default"
         /// (see [`set_default_chunk_size`]).
         chunk_size: usize,
     },
@@ -224,7 +124,7 @@ pub enum ExecutorKind {
 }
 
 impl ExecutorKind {
-    /// A work-stealing configuration with the given thread count and the process-wide
+    /// A multi-thread configuration with the given thread count and the process-wide
     /// default chunk size.
     pub fn sharded(threads: usize) -> Self {
         ExecutorKind::Sharded { threads: threads.max(1), chunk_size: 0 }
@@ -263,7 +163,7 @@ impl ExecutorKind {
         match *self {
             ExecutorKind::Sequential => Executor::new(graph).run(algorithm),
             ExecutorKind::Sharded { threads, chunk_size } => {
-                let mut executor = ShardedExecutor::new(graph).with_threads(threads);
+                let mut executor = Executor::new(graph).with_threads(threads);
                 if chunk_size > 0 {
                     executor = executor.with_chunk_size(chunk_size);
                 }
@@ -290,17 +190,16 @@ pub fn default_executor() -> ExecutorKind {
     *DEFAULT_EXECUTOR.lock().expect("executor-kind lock")
 }
 
-/// The process-wide default for the sharded executor's sequential cutoff (see
-/// [`ShardedExecutor::with_sequential_cutoff`]).
-static SEQUENTIAL_CUTOFF: AtomicUsize =
-    AtomicUsize::new(ShardedExecutor::DEFAULT_SEQUENTIAL_CUTOFF);
+/// The process-wide default for the executor's sequential cutoff (see
+/// [`Executor::with_sequential_cutoff`]).
+static SEQUENTIAL_CUTOFF: AtomicUsize = AtomicUsize::new(Executor::DEFAULT_SEQUENTIAL_CUTOFF);
 
-/// Sets the process-wide default sequential cutoff picked up by new [`ShardedExecutor`]s
-/// (and by the parallel phase drivers that mirror its small-work fallback).
+/// Sets the process-wide default sequential cutoff picked up by new [`Executor`]s (and by
+/// the parallel phase drivers that mirror its small-work fallback).
 ///
-/// Results are identical at any cutoff; lowering it only forces the parallel code paths on
-/// smaller graphs.  The CI cross-executor gate runs the smoke tier with cutoff 0 so even
-/// tiny workloads execute sharded and diff against the sequential rows.
+/// Results are identical at any cutoff; lowering it only forces the multi-thread code paths
+/// on smaller graphs.  The CI cross-executor gate runs the smoke tier with cutoff 0 so even
+/// tiny workloads execute on several threads and diff against the sequential rows.
 pub fn set_default_sequential_cutoff(cutoff: usize) {
     SEQUENTIAL_CUTOFF.store(cutoff, Ordering::Relaxed);
 }
@@ -310,21 +209,21 @@ pub fn default_sequential_cutoff() -> usize {
     SEQUENTIAL_CUTOFF.load(Ordering::Relaxed)
 }
 
-/// The process-wide default for the work-stealing chunk size (see
-/// [`ShardedExecutor::with_chunk_size`]).
-static CHUNK_SIZE: AtomicUsize = AtomicUsize::new(ShardedExecutor::DEFAULT_CHUNK_SIZE);
+/// The process-wide default for the executor's chunk size (see
+/// [`Executor::with_chunk_size`]).
+static CHUNK_SIZE: AtomicUsize = AtomicUsize::new(Executor::DEFAULT_CHUNK_SIZE);
 
-/// Sets the process-wide default chunk size picked up by new [`ShardedExecutor`]s (clamped
-/// to at least 1).
+/// Sets the process-wide default chunk size picked up by new [`Executor`]s (clamped to at
+/// least 1).
 ///
-/// Results are identical at any chunk size — the chunking only decides steal granularity.
+/// Results are identical at any chunk size — the chunking only decides claim granularity.
 /// Binaries expose it as `--chunk-size` so CI can diff a non-default granularity against
 /// the sequential rows.
 pub fn set_default_chunk_size(chunk_size: usize) {
     CHUNK_SIZE.store(chunk_size.max(1), Ordering::Relaxed);
 }
 
-/// The current process-wide default work-stealing chunk size.
+/// The current process-wide default chunk size.
 pub fn default_chunk_size() -> usize {
     CHUNK_SIZE.load(Ordering::Relaxed)
 }
@@ -332,8 +231,8 @@ pub fn default_chunk_size() -> usize {
 /// Runs `algorithm` on `graph` under the process-wide default executor configuration.
 ///
 /// This is the entry point the algorithm drivers across the workspace use, so a single
-/// [`set_default_executor`] call switches the whole stack between the sequential and the
-/// work-stealing simulator.
+/// [`set_default_executor`] call switches the whole stack between thread counts and the
+/// reference oracle.
 ///
 /// # Errors
 ///
@@ -352,505 +251,11 @@ where
     default_executor().run(graph, algorithm)
 }
 
-// ---------------------------------------------------------------------------
-// Work-stealing executor
-// ---------------------------------------------------------------------------
-
-/// Everything one stolen chunk produced, buffered for an in-order commit: outgoing
-/// `(receiver arc, message)` pairs in vertex-then-port order (the arc index *is* the
-/// routing information — it pins both the receiving vertex and its port), plus the
-/// vertices that halted or scheduled a wakeup.
-struct ChunkOut<M> {
-    outgoing: Vec<(ArcIdx, M)>,
-    halts: Vec<Vertex>,
-    wakeups: Vec<Vertex>,
-    /// Vertices actually stepped in this chunk (the chunk's share of the round frontier).
-    stepped: usize,
-}
-
-impl<M> ChunkOut<M> {
-    fn new() -> Self {
-        ChunkOut { outgoing: Vec::new(), halts: Vec::new(), wakeups: Vec::new(), stepped: 0 }
-    }
-}
-
-/// Runs [`Algorithm`]s on a [`Graph`] by splitting each round's frontier into fixed-size
-/// chunks that pool workers claim from a shared atomic cursor, committing results in chunk
-/// order — bit-identical to the sequential [`Executor`] at any thread count and chunk size
-/// (see the [module docs](self) for the argument).
-///
-/// Graphs at or below the [sequential cutoff](Self::with_sequential_cutoff) are delegated
-/// to the sequential executor: the results are identical either way, and the many small
-/// subgraph executions of the recursive drivers should not pay pool setup costs.
-#[derive(Debug, Clone)]
-pub struct ShardedExecutor<'g> {
-    graph: &'g Graph,
-    max_rounds: usize,
-    threads: usize,
-    chunk_size: usize,
-    sequential_cutoff: usize,
-    cost_mode: CostMode,
-}
-
-impl<'g> ShardedExecutor<'g> {
-    /// Below this many vertices the sequential executor is used (results are identical; the
-    /// pool only pays off once chunks hold real work).
-    pub const DEFAULT_SEQUENTIAL_CUTOFF: usize = 2048;
-
-    /// Default number of frontier vertices per stolen chunk: small enough to balance a
-    /// skewed frontier across workers, large enough to amortize the claim.
-    pub const DEFAULT_CHUNK_SIZE: usize = 1024;
-
-    /// Creates a work-stealing executor for `graph` with one thread per available CPU, the
-    /// default round limit, and the process-wide default sequential cutoff and chunk size
-    /// (see [`set_default_sequential_cutoff`], [`set_default_chunk_size`]).
-    pub fn new(graph: &'g Graph) -> Self {
-        let threads = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-        ShardedExecutor {
-            graph,
-            max_rounds: Executor::DEFAULT_MAX_ROUNDS,
-            threads,
-            chunk_size: default_chunk_size(),
-            sequential_cutoff: default_sequential_cutoff(),
-            cost_mode: default_cost_mode(),
-        }
-    }
-
-    /// Overrides the round limit.
-    #[must_use]
-    pub fn with_max_rounds(mut self, max_rounds: usize) -> Self {
-        self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Sets the worker-thread count (clamped to at least 1).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the number of frontier vertices per stolen chunk (clamped to at least 1).
-    ///
-    /// The chunk size never affects results — only how finely the frontier is dealt out to
-    /// the workers.
-    #[must_use]
-    pub fn with_chunk_size(mut self, chunk_size: usize) -> Self {
-        self.chunk_size = chunk_size.max(1);
-        self
-    }
-
-    /// Sets the vertex count at or below which the sequential executor is used instead.
-    /// Pass 0 to force the work-stealing path even on tiny graphs (the equivalence tests
-    /// do).
-    #[must_use]
-    pub fn with_sequential_cutoff(mut self, cutoff: usize) -> Self {
-        self.sequential_cutoff = cutoff;
-        self
-    }
-
-    /// Overrides the cost mode (see [`Executor::with_cost_mode`]); the accounting is
-    /// bit-identical to the sequential executor's at any thread count and chunk size.
-    #[must_use]
-    pub fn with_cost_mode(mut self, cost_mode: CostMode) -> Self {
-        self.cost_mode = cost_mode;
-        self
-    }
-
-    /// The graph this executor runs on.
-    pub fn graph(&self) -> &Graph {
-        self.graph
-    }
-
-    /// Runs `algorithm` until every node halts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::RoundLimitExceeded`] if the algorithm does not terminate
-    /// within the configured round limit.
-    pub fn run<A>(
-        &self,
-        algorithm: &A,
-    ) -> Result<ExecutionResult<<A::Node as NodeProgram>::Output>, RuntimeError>
-    where
-        A: Algorithm + Sync,
-        A::Node: Send,
-        <A::Node as NodeProgram>::Msg: Send + Sync,
-        <A::Node as NodeProgram>::Output: Send,
-    {
-        self.run_inner(algorithm, None)
-    }
-
-    /// Runs `algorithm` like [`run`](Self::run), additionally recording one
-    /// [`RoundTrace`] per round.  The deterministic trace columns (round, active nodes,
-    /// frontier, messages, bits, halts) are bit-identical to the sequential
-    /// [`Executor::run_traced`] at any thread count and chunk size; only `wall_ns` differs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::RoundLimitExceeded`] if the algorithm does not terminate
-    /// within the configured round limit.
-    pub fn run_traced<A>(
-        &self,
-        algorithm: &A,
-    ) -> Result<TracedRun<<A::Node as NodeProgram>::Output>, RuntimeError>
-    where
-        A: Algorithm + Sync,
-        A::Node: Send,
-        <A::Node as NodeProgram>::Msg: Send + Sync,
-        <A::Node as NodeProgram>::Output: Send,
-    {
-        self.run_traced_with(algorithm, TraceConfig::default())
-    }
-
-    /// Like [`run_traced`](Self::run_traced) with an explicit [`TraceConfig`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::RoundLimitExceeded`] if the algorithm does not terminate
-    /// within the configured round limit.
-    pub fn run_traced_with<A>(
-        &self,
-        algorithm: &A,
-        config: TraceConfig,
-    ) -> Result<TracedRun<<A::Node as NodeProgram>::Output>, RuntimeError>
-    where
-        A: Algorithm + Sync,
-        A::Node: Send,
-        <A::Node as NodeProgram>::Msg: Send + Sync,
-        <A::Node as NodeProgram>::Output: Send,
-    {
-        let mut recorder = TraceRecorder::new();
-        let result = self.run_inner(algorithm, Some((&mut recorder, config)))?;
-        Ok((result, recorder))
-    }
-
-    fn run_inner<A>(
-        &self,
-        algorithm: &A,
-        trace: Option<(&mut TraceRecorder, TraceConfig)>,
-    ) -> Result<ExecutionResult<<A::Node as NodeProgram>::Output>, RuntimeError>
-    where
-        A: Algorithm + Sync,
-        A::Node: Send,
-        <A::Node as NodeProgram>::Msg: Send + Sync,
-        <A::Node as NodeProgram>::Output: Send,
-    {
-        let graph = self.graph;
-        let n = graph.n();
-        if n <= self.sequential_cutoff {
-            let sequential = Executor::new(graph)
-                .with_max_rounds(self.max_rounds)
-                .with_cost_mode(self.cost_mode);
-            return match trace {
-                None => sequential.run(algorithm),
-                Some((recorder, config)) => {
-                    let (result, recorded) = sequential.run_traced_with(algorithm, config)?;
-                    *recorder = recorded;
-                    Ok(result)
-                }
-            };
-        }
-        let span = obs::exec_span(algorithm.name());
-        let (mut trace, trace_config) = match trace {
-            Some((recorder, config)) => (Some(recorder), config),
-            None => (None, TraceConfig::default()),
-        };
-
-        let chunk = self.chunk_size.max(1);
-        let id_space = id_space_of(graph);
-        let id_table = neighbor_id_table(graph);
-        let pool = WorkPool::new(self.threads);
-        let workers = pool.threads();
-
-        // Build contexts and node programs in parallel over contiguous ranges (results
-        // concatenate in range order, so the build is deterministic), then wrap each node
-        // in an uncontended per-vertex mutex: the runtime forbids unsafe code, and a vertex
-        // is stepped by exactly one worker per round, so the locks never block.
-        const BUILD_CHUNK: usize = 4096;
-        let ranges: Vec<std::ops::Range<usize>> = (0..n.div_ceil(BUILD_CHUNK))
-            .map(|c| c * BUILD_CHUNK..((c + 1) * BUILD_CHUNK).min(n))
-            .collect();
-        let mut contexts: Vec<NodeCtx> = Vec::with_capacity(n);
-        let mut nodes: Vec<Mutex<A::Node>> = Vec::with_capacity(n);
-        for (ctxs, ns) in pool.map(ranges, |_, range| {
-            let ctxs: Vec<NodeCtx> =
-                range.map(|v| node_ctx(graph, v, id_space, &id_table)).collect();
-            let ns: Vec<Mutex<A::Node>> =
-                ctxs.iter().map(|ctx| Mutex::new(algorithm.node(ctx))).collect();
-            (ctxs, ns)
-        }) {
-            contexts.extend(ctxs);
-            nodes.extend(ns);
-        }
-
-        // Shared round state.  Workers only ever read these during a fork/join batch; the
-        // coordinator writes between batches, so the locks are uncontended.
-        let inbox_lock: RwLock<ArcMailboxes<<A::Node as NodeProgram>::Msg>> =
-            RwLock::new(ArcMailboxes::new(graph.arc_span(0..n)));
-        let schedule_lock: RwLock<Vec<Vertex>> = RwLock::new(Vec::new());
-        let active_lock: RwLock<ActiveSet> = RwLock::new(ActiveSet::new(n));
-        let claim = AtomicUsize::new(0);
-        // Shadow everything the worker closures capture with references: the closures are
-        // `move` (they must not borrow the coordinator's per-round locals), and moving a
-        // reference is a copy.
-        let inbox_lock = &inbox_lock;
-        let schedule_lock = &schedule_lock;
-        let active_lock = &active_lock;
-        let claim = &claim;
-        let contexts = &contexts;
-        let nodes = &nodes;
-
-        let report = pool.scope(|scope| {
-            let mut report = RoundReport::zero();
-            let mut frontier = Frontier::new(n);
-            let mut meter = BandwidthMeter::new(graph.num_arcs());
-            let mut pending: ArcMailboxes<<A::Node as NodeProgram>::Msg> =
-                ArcMailboxes::new(graph.arc_span(0..n));
-
-            // Initialization: `init` runs for every vertex, in work-stolen chunks of
-            // `0..n`.  Like every step, results are committed in chunk order.
-            let init_chunks = n.div_ceil(chunk);
-            claim.store(0, Ordering::SeqCst);
-            let produced = scope.map(vec![(); workers], move |_, ()| {
-                let mut produced: Vec<(usize, ChunkOut<_>)> = Vec::new();
-                let mut outbox = Outbox::new(0);
-                loop {
-                    let c = claim.fetch_add(1, Ordering::Relaxed);
-                    if c >= init_chunks {
-                        break;
-                    }
-                    let mut out = ChunkOut::new();
-                    for v in c * chunk..((c + 1) * chunk).min(n) {
-                        outbox.reset(contexts[v].degree);
-                        let status =
-                            nodes[v].lock().expect("node lock").init(&contexts[v], &mut outbox);
-                        let woke = contexts[v].take_wake();
-                        if status == Status::Halted {
-                            out.halts.push(v);
-                        } else if woke {
-                            out.wakeups.push(v);
-                        }
-                        route_outbox(graph, v, &mut outbox, &mut out);
-                    }
-                    produced.push((c, out));
-                }
-                produced
-            });
-            let init_messages = commit_chunks(
-                graph,
-                produced,
-                &mut pending,
-                &mut frontier,
-                &mut active_lock.write().expect("active lock"),
-                &mut meter,
-                None,
-            )
-            .messages;
-            report.messages += init_messages;
-            // Delivery-side trace attribution, as in the sequential executor: round `r`
-            // records what it delivers (the sends of round `r − 1`; round 1 carries `init`).
-            let mut carry_messages = init_messages;
-            let mut carry_bits =
-                meter.finish_round(graph, report.rounds + 1, self.cost_mode, &mut report)?;
-            let mut any_outgoing = init_messages > 0;
-            let mut total_active = active_lock.read().expect("active lock").count();
-
-            // Main loop: one iteration = one synchronous round, mirroring the sequential
-            // executor statement for statement so round and message counts stay identical.
-            while total_active > 0 || any_outgoing {
-                if report.rounds >= self.max_rounds {
-                    return Err(RuntimeError::RoundLimitExceeded {
-                        limit: self.max_rounds,
-                        still_active: total_active,
-                    });
-                }
-                report.rounds += 1;
-                let round_started = trace.as_ref().map(|_| std::time::Instant::now());
-                let active_at_start = total_active;
-                let messages_before = report.messages;
-                let mut halted_this_round: Vec<Vertex> = Vec::new();
-
-                // Flip the mailbox double buffer and publish the round's sorted frontier.
-                {
-                    let mut inboxes = inbox_lock.write().expect("inbox lock");
-                    std::mem::swap(&mut pending, &mut *inboxes);
-                    pending.clear();
-                    inboxes.seal();
-                }
-                let round_chunks = {
-                    let mut schedule = schedule_lock.write().expect("schedule lock");
-                    frontier.take(&mut schedule);
-                    schedule.len().div_ceil(chunk)
-                };
-                claim.store(0, Ordering::SeqCst);
-
-                let produced = scope.map(vec![(); workers], move |_, ()| {
-                    let schedule = schedule_lock.read().expect("schedule lock");
-                    let inboxes = inbox_lock.read().expect("inbox lock");
-                    let alive = active_lock.read().expect("active lock");
-                    let mut produced: Vec<(usize, ChunkOut<_>)> = Vec::new();
-                    let mut outbox = Outbox::new(0);
-                    loop {
-                        let c = claim.fetch_add(1, Ordering::Relaxed);
-                        if c >= round_chunks {
-                            break;
-                        }
-                        let mut out = ChunkOut::new();
-                        for &v in &schedule[c * chunk..((c + 1) * chunk).min(schedule.len())] {
-                            if !alive.is_active(v) {
-                                // Mail to a halted vertex is dropped unread (it was
-                                // counted at send time), as in the sequential executor.
-                                continue;
-                            }
-                            out.stepped += 1;
-                            let arcs = graph.arc_range(v);
-                            let window = inboxes.window_of(arcs.clone());
-                            let inbox = inboxes.read(window, arcs);
-                            outbox.reset(contexts[v].degree);
-                            let status = nodes[v].lock().expect("node lock").round(
-                                &contexts[v],
-                                &inbox,
-                                &mut outbox,
-                            );
-                            let woke = contexts[v].take_wake();
-                            if status == Status::Halted {
-                                out.halts.push(v);
-                            } else if woke {
-                                out.wakeups.push(v);
-                            }
-                            route_outbox(graph, v, &mut outbox, &mut out);
-                        }
-                        produced.push((c, out));
-                    }
-                    produced
-                });
-
-                let halted_sink = (trace.is_some() && trace_config.capture_halted)
-                    .then_some(&mut halted_this_round);
-                let stats = commit_chunks(
-                    graph,
-                    produced,
-                    &mut pending,
-                    &mut frontier,
-                    &mut active_lock.write().expect("active lock"),
-                    &mut meter,
-                    halted_sink,
-                );
-                report.messages += stats.messages;
-                let round_bits =
-                    meter.finish_round(graph, report.rounds + 1, self.cost_mode, &mut report)?;
-                if let Some(recorder) = trace.as_deref_mut() {
-                    recorder.record(RoundTrace {
-                        round: report.rounds,
-                        active_nodes: active_at_start,
-                        frontier: stats.stepped,
-                        messages: carry_messages,
-                        total_bits: carry_bits.total,
-                        max_edge_bits: carry_bits.max_edge,
-                        halts: stats.halts,
-                        halted: halted_this_round,
-                        wall_ns: round_started
-                            .map(|t| t.elapsed().as_nanos().min(u64::MAX as u128) as u64)
-                            .unwrap_or(0),
-                    });
-                }
-                carry_messages = report.messages - messages_before;
-                carry_bits = round_bits;
-                any_outgoing = stats.messages > 0;
-                total_active = active_lock.read().expect("active lock").count();
-                if total_active == 0 {
-                    break;
-                }
-            }
-            Ok(report)
-        })?;
-
-        let outputs = nodes
-            .iter()
-            .zip(contexts.iter())
-            .map(|(node, ctx)| node.lock().expect("node lock").output(ctx))
-            .collect();
-        span.charge(report);
-        if let Some(recorder) = trace {
-            span.attach_trace(recorder);
-        }
-        obs::record_run(&report);
-        Ok(ExecutionResult { outputs, report })
-    }
-}
-
-/// Routes a stepped vertex's outbox into its chunk's buffered output: one mirror-arc read
-/// per message, no adjacency scan, appended in port order so the chunk's `outgoing` list
-/// stays in global sender order.
-fn route_outbox<M: Clone>(
-    graph: &Graph,
-    sender: Vertex,
-    outbox: &mut Outbox<M>,
-    out: &mut ChunkOut<M>,
-) {
-    let first_arc = graph.arc_range(sender).start;
-    let mirror = graph.mirror_arcs();
-    for (port, message) in outbox.drain() {
-        out.outgoing.push((mirror[first_arc + port], message));
-    }
-}
-
-/// What [`commit_chunks`] applied, summed over the committed chunks.
-#[derive(Debug, Default, Clone, Copy)]
-struct CommitStats {
-    /// Messages pushed into the pending mailboxes.
-    messages: usize,
-    /// Vertices the workers actually stepped (the round's frontier).
-    stepped: usize,
-    /// Vertices that halted.
-    halts: usize,
-}
-
-/// Commits the chunks produced by one fork/join step **in chunk order**: pushes the
-/// outgoing messages into the pending mailboxes (ascending sender order — the order the
-/// sequential delivery loop produces), charges each message's measured width to its arc in
-/// `meter`, marks every receiver and self-scheduled wakeup in the frontier, and applies the
-/// halts.  When `halted_sink` is given, the halted vertices are also collected into it (in
-/// chunk order = ascending vertex order, matching the sequential trace).
-fn commit_chunks<M: MessageCost>(
-    graph: &Graph,
-    produced: Vec<Vec<(usize, ChunkOut<M>)>>,
-    pending: &mut ArcMailboxes<M>,
-    frontier: &mut Frontier,
-    active: &mut ActiveSet,
-    meter: &mut BandwidthMeter,
-    mut halted_sink: Option<&mut Vec<Vertex>>,
-) -> CommitStats {
-    let mut chunks: Vec<(usize, ChunkOut<M>)> = produced.into_iter().flatten().collect();
-    chunks.sort_unstable_by_key(|&(c, _)| c);
-    let mut stats = CommitStats::default();
-    for (_, out) in chunks {
-        stats.messages += out.outgoing.len();
-        stats.stepped += out.stepped;
-        stats.halts += out.halts.len();
-        for (arc, message) in out.outgoing {
-            meter.add(arc, message.encoded_bits());
-            pending.push(arc, message);
-            frontier.mark(arc_owner(graph, arc));
-        }
-        if let Some(sink) = halted_sink.as_deref_mut() {
-            sink.extend_from_slice(&out.halts);
-        }
-        for v in out.halts {
-            active.halt(v);
-        }
-        for v in out.wakeups {
-            frontier.mark(v);
-        }
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithms::{FloodMaxId, ProposeMaxId};
+    use crate::metrics::RoundReport;
     use arbcolor_graph::generators;
 
     #[test]
@@ -864,18 +269,6 @@ mod tests {
             });
             assert_eq!(squares, (0..40usize).map(|x| x * x).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn pool_scope_reuses_workers_across_batches() {
-        let pool = WorkPool::new(3);
-        let data: Vec<usize> = (0..10).collect();
-        let total = pool.scope(|scope| {
-            let doubled = scope.map(data.clone(), |_, x| 2 * x);
-            let tripled = scope.map(doubled, |_, x| x + data[0]);
-            tripled.into_iter().sum::<usize>()
-        });
-        assert_eq!(total, (0..10).map(|x| 2 * x).sum::<usize>());
     }
 
     #[test]
@@ -897,7 +290,7 @@ mod tests {
         let sequential = Executor::new(&g).run(&ProposeMaxId).unwrap();
         for chunk_size in [1usize, 4, 64] {
             for threads in [1usize, 2, 4] {
-                let stolen = ShardedExecutor::new(&g)
+                let stolen = Executor::new(&g)
                     .with_threads(threads)
                     .with_chunk_size(chunk_size)
                     .with_sequential_cutoff(0)
@@ -914,7 +307,7 @@ mod tests {
         let g = generators::path(9).unwrap();
         let sequential =
             Executor::new(&g).with_max_rounds(3).run(&FloodMaxId { rounds: 100 }).unwrap_err();
-        let stolen = ShardedExecutor::new(&g)
+        let stolen = Executor::new(&g)
             .with_threads(2)
             .with_chunk_size(2)
             .with_sequential_cutoff(0)
@@ -928,7 +321,7 @@ mod tests {
     fn work_stealing_handles_isolated_vertices_and_empty_graphs() {
         for n in [0usize, 5] {
             let g = Graph::empty(n);
-            let result = ShardedExecutor::new(&g)
+            let result = Executor::new(&g)
                 .with_threads(2)
                 .with_chunk_size(2)
                 .with_sequential_cutoff(0)

@@ -432,11 +432,12 @@ impl Read for Prefixed<'_> {
 }
 
 /// Polls for the first byte of the next frame in `slice`-sized steps, so a parked
-/// connection notices `shutdown` within one slice instead of one idle timeout.
-/// `Ok(None)` = the connection should close (clean EOF, idle timeout, shutdown, or a
-/// transport error); `Ok(Some(b))` = frame started.
+/// connection notices `shutdown` within one slice instead of one idle timeout.  A read
+/// interrupted by a signal is retried like a timed-out slice.
+/// `None` = the connection should close (clean EOF, idle timeout, shutdown, or a
+/// transport error); `Some(b)` = frame started.
 fn await_frame_start(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     config: &ServiceConfig,
     shutdown: &AtomicBool,
 ) -> Option<u8> {
@@ -447,7 +448,12 @@ fn await_frame_start(
             Ok(0) => return None,
             Ok(_) => return Some(byte[0]),
             Err(err)
-                if matches!(err.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) =>
+                if matches!(
+                    err.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) =>
             {
                 // The socket's read timeout is the poll slice; between slices we only
                 // check the shutdown flag and the connection's idle deadline.
@@ -630,5 +636,33 @@ mod tests {
         assert!(!svc.shutdown_requested());
         assert!(matches!(svc.handle(Request::Shutdown), Response::ShuttingDown));
         assert!(svc.shutdown_requested());
+    }
+
+    /// Fails its first read with `Interrupted` (a signal landed mid-read), then yields one
+    /// byte.
+    struct InterruptedOnce {
+        interrupted: bool,
+    }
+
+    impl Read for InterruptedOnce {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if !self.interrupted {
+                self.interrupted = true;
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            buf[0] = 0x2a;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn an_interrupted_read_is_retried_not_a_dropped_connection() {
+        let mut reader = InterruptedOnce { interrupted: false };
+        let shutdown = AtomicBool::new(false);
+        assert_eq!(
+            await_frame_start(&mut reader, &ServiceConfig::default(), &shutdown),
+            Some(0x2a)
+        );
+        assert!(reader.interrupted);
     }
 }

@@ -22,7 +22,7 @@ use arbcolor_graph::generators;
 use arbcolor_runtime::algorithms::ProposeMaxId;
 use arbcolor_runtime::{
     default_executor, set_default_executor, CostMode, Executor, ExecutorKind, ReferenceExecutor,
-    RuntimeError, ShardedExecutor,
+    RuntimeError,
 };
 
 /// Runs the full HKMT pipeline under `kind` and returns its outcome signature.
@@ -96,7 +96,7 @@ fn congest_mode_rejects_an_over_wide_message_with_the_typed_error() {
     };
     check(Executor::new(&g).with_cost_mode(tight).run(&ProposeMaxId).unwrap_err());
     check(
-        ShardedExecutor::new(&g)
+        Executor::new(&g)
             .with_threads(4)
             .with_sequential_cutoff(0)
             .with_cost_mode(tight)

@@ -1,6 +1,6 @@
 //! Equivalence suite for the arc-indexed message fabric.
 //!
-//! The flat-mailbox executors ([`Executor`] and [`ShardedExecutor`]) must stay
+//! The flat-mailbox [`Executor`], at one thread and at several, must stay
 //! **bit-identical** — same per-vertex outputs, same round count, same message count — to
 //! the [`ReferenceExecutor`], the preserved pre-fabric implementation with per-vertex
 //! `Vec<Vec<(port, message)>>` mailboxes and linear-scan routing.  The reference shares no
@@ -12,7 +12,6 @@ use arbcolor_graph::generators;
 use arbcolor_runtime::algorithms::{FloodMaxId, ProposeMaxId};
 use arbcolor_runtime::{
     default_executor, set_default_executor, Executor, ExecutorKind, ReferenceExecutor,
-    ShardedExecutor,
 };
 use proptest::prelude::*;
 
@@ -41,7 +40,7 @@ proptest! {
             prop_assert_eq!(propose_flat.report, propose_ref.report, "propose cost on {}", family);
 
             for chunk_size in [1usize, 2, 3, 7] {
-                let stolen = ShardedExecutor::new(&g)
+                let stolen = Executor::new(&g)
                     .with_threads(2)
                     .with_chunk_size(chunk_size)
                     .with_sequential_cutoff(0);

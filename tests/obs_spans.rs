@@ -19,7 +19,7 @@ use arbcolor_runtime::algorithms::FloodMaxId;
 use arbcolor_runtime::{
     default_chunk_size, default_executor, default_sequential_cutoff, obs, set_default_chunk_size,
     set_default_executor, set_default_sequential_cutoff, Executor, ExecutorKind, ReferenceExecutor,
-    RoundReport, ShardedExecutor, TraceConfig, TraceRecorder,
+    RoundReport, TraceConfig, TraceRecorder,
 };
 
 mod common;
@@ -46,7 +46,7 @@ fn per_round_columns_sum_to_the_report_on_every_executor() {
         let sharded_runs: Vec<_> = [1usize, 2, 4]
             .iter()
             .map(|&threads| {
-                ShardedExecutor::new(&g)
+                Executor::new(&g)
                     .with_threads(threads)
                     .with_chunk_size(7)
                     .with_sequential_cutoff(0)
@@ -112,7 +112,7 @@ fn halted_capture_is_opt_in_and_consistent() {
 
     // The sharded executor captures the same identities, in the same (chunk-ascending,
     // i.e. vertex-ascending) order as the sequential schedule.
-    let (_, sharded_full) = ShardedExecutor::new(&g)
+    let (_, sharded_full) = Executor::new(&g)
         .with_threads(2)
         .with_chunk_size(5)
         .with_sequential_cutoff(0)

@@ -1,7 +1,7 @@
 //! Cross-crate equivalence suite for the work-stealing parallel simulator.
 //!
-//! The contract of `arbcolor_runtime::shard` is that the [`ShardedExecutor`] is
-//! **bit-identical** to the sequential [`Executor`] and to the [`ReferenceExecutor`] oracle
+//! The contract of the [`Executor`] is that its multi-thread runs are
+//! **bit-identical** to its one-thread runs and to the [`ReferenceExecutor`] oracle
 //! — same per-vertex outputs, same round count, same message count — for every graph, every
 //! chunk size, and every thread count.  This suite drives that claim over the full generator
 //! suite with randomized sizes and seeds, and checks it end to end through the headline
@@ -12,7 +12,7 @@ use arbcolor_graph::generators;
 use arbcolor_runtime::algorithms::{FloodMaxId, ProposeMaxId};
 use arbcolor_runtime::{
     default_executor, default_sequential_cutoff, set_default_executor,
-    set_default_sequential_cutoff, Executor, ExecutorKind, ReferenceExecutor, ShardedExecutor,
+    set_default_sequential_cutoff, Executor, ExecutorKind, ReferenceExecutor,
 };
 use proptest::prelude::*;
 
@@ -51,7 +51,7 @@ proptest! {
             // ...and so must the work-stealing executor at every (threads, chunk) config.
             for threads in THREAD_COUNTS {
                 for chunk_size in CHUNK_SIZES {
-                    let stolen = ShardedExecutor::new(&g)
+                    let stolen = Executor::new(&g)
                         .with_threads(threads)
                         .with_chunk_size(chunk_size)
                         .with_sequential_cutoff(0);
@@ -77,7 +77,7 @@ proptest! {
 fn repeated_work_stealing_runs_with_different_thread_counts_agree() {
     let g = generators::union_of_random_forests(300, 4, 9).unwrap().with_shuffled_ids(2);
     let flood = FloodMaxId { rounds: 12 };
-    let reference = ShardedExecutor::new(&g)
+    let reference = Executor::new(&g)
         .with_threads(1)
         .with_chunk_size(16)
         .with_sequential_cutoff(0)
@@ -85,7 +85,7 @@ fn repeated_work_stealing_runs_with_different_thread_counts_agree() {
         .unwrap();
     for repetition in 0..3 {
         for threads in [1usize, 2, 3, 8] {
-            let again = ShardedExecutor::new(&g)
+            let again = Executor::new(&g)
                 .with_threads(threads)
                 .with_chunk_size(16)
                 .with_sequential_cutoff(0)
@@ -106,7 +106,7 @@ fn chunk_size_never_changes_results() {
     let flood = FloodMaxId { rounds: 9 };
     let reference = Executor::new(&g).run(&flood).unwrap();
     for chunk_size in [1usize, 2, 3, 7, 11, 250, 4096] {
-        let stolen = ShardedExecutor::new(&g)
+        let stolen = Executor::new(&g)
             .with_threads(3)
             .with_chunk_size(chunk_size)
             .with_sequential_cutoff(0)
