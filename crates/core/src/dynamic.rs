@@ -5,20 +5,33 @@
 //! of [`GraphUpdate`]s — mixed edge insertions and removals — by repairing only the
 //! **conflict frontier**, the vertices incident to a newly monochromatic edge:
 //!
-//! 1. the batch is folded into a last-write-wins overlay and applied to the CSR through
-//!    [`Graph::patched`], an incremental merge that keeps identifiers stable and is
-//!    bit-identical to a from-scratch rebuild without re-sorting the whole edge list;
+//! 1. the batch is folded into a last-write-wins overlay and its net effect is edited into
+//!    a [`MutableGraph`] — per-vertex sorted neighbor lists, so an edge costs O(deg) at its
+//!    two endpoints and nothing elsewhere.  The CSR [`Graph`] is built only on demand
+//!    ([`DynamicColoring::graph`], full re-colorings) and is bit-identical to a
+//!    from-scratch rebuild with the original identifiers;
 //! 2. the frontier is collected by checking exactly the genuinely new edges — removals
 //!    never create conflicts, so deletion-only batches are repair-free by construction;
-//! 3. if the [`RepairPolicy`] selects a local repair, the induced subgraph on the frontier
-//!    is re-colored with the Ghaffari–Kuhn `(deg+1)`-list driver under
+//! 3. if the [`RepairPolicy`] selects a local repair, the induced subgraph on the frontier,
+//!    read straight off the adjacency with no n-sized table, is re-colored with the
+//!    Ghaffari–Kuhn `(deg+1)`-list algorithm under
 //!    [`run_algorithm`](arbcolor_runtime::run_algorithm), where each frontier
 //!    vertex lists `{0, …, deg(v)}` minus the colors held by its non-frontier neighbors —
 //!    the list sizes stay ≥ subgraph-degree + 1, so the instance always has greedy slack,
 //!    and any solution is legal against both repaired and untouched neighbors;
 //! 4. if the policy escalates (by default: frontier above a threshold), the driver falls
 //!    back to a full re-coloring of the new graph;
-//! 5. legality of the *entire* coloring is independently re-verified after every batch.
+//! 5. legality is independently re-verified after every batch.  After a local repair the
+//!    check covers the inserted edges and the edges at recolored vertices, which is
+//!    exactly equivalent to a full check: the pre-batch coloring was legal and removals
+//!    cannot create conflicts (debug builds assert the equivalence on every batch).  Full
+//!    re-colorings and compactions keep the full O(n + m) scan.
+//!
+//! A batch that fails at any step leaves the graph and the coloring exactly as they were:
+//! invalid edges are rejected before anything changes, and later errors undo the edit and
+//! every journaled recoloring.  The journal of a successful call stays readable through
+//! [`DynamicColoring::last_recolored`], which is what lets the service keep its epoch
+//! history as per-epoch diffs.
 //!
 //! Deletions free palette slack without spending it: after edges vanish, the maintained
 //! coloring may use far more colors than the shrunken maximum degree warrants.
@@ -33,8 +46,9 @@
 //! bit-identical across the sequential, sharded, and reference simulators — experiment E20
 //! asserts exactly that, and E25 replays mixed sustained-update workloads against the same
 //! invariant.  When an [`obs`] collector is installed, every batch
-//! decomposes into `dynamic-apply` / `csr-patch` / repair phase spans and feeds the
-//! `dynamic.*` metrics counters.
+//! decomposes into `dynamic-apply` / `csr-patch` (the adjacency edit) / repair phase spans
+//! and feeds the `dynamic.*` metrics counters, including `dynamic.csr_builds`, one per CSR
+//! materialization.
 //!
 //! ```
 //! use arbcolor::dynamic::{DynamicColoring, GraphUpdate};
@@ -57,11 +71,12 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use crate::error::CoreError;
 use crate::ghaffari_kuhn::{ghaffari_kuhn_coloring, ghaffari_kuhn_list_coloring};
 use crate::list_coloring::ColorLists;
-use arbcolor_graph::{Color, Coloring, Graph, InducedSubgraph, PaletteSet, Vertex};
+use arbcolor_graph::{Color, Coloring, Graph, InducedSubgraph, MutableGraph, PaletteSet, Vertex};
 use arbcolor_runtime::{obs, RoundReport};
 
 /// One batched mutation of the maintained graph.
@@ -174,11 +189,22 @@ impl BatchOutcome {
 /// A legal coloring maintained across batched edge insertions and removals.
 #[derive(Debug, Clone)]
 pub struct DynamicColoring {
-    graph: Graph,
+    /// The maintained graph; every batch edits it in place.
+    adjacency: MutableGraph,
+    /// The CSR form of `adjacency`, built on first use by [`DynamicColoring::graph`] and
+    /// dropped by every batch that changes an edge.
+    csr: OnceLock<Graph>,
     coloring: Coloring,
+    /// `(vertex, previous color)` for every color change of the last successful `apply`
+    /// or `compact`, in the order the changes were made.
+    recolored: Vec<(Vertex, Color)>,
     policy: RepairPolicy,
     auto_compact: bool,
 }
+
+/// What [`DynamicColoring::absorb`] hands back to `apply`: the repair result and the
+/// auto-compaction delta.
+type Absorbed = (Vec<Vertex>, RepairStrategy, RoundReport, Option<CompactionDelta>);
 
 impl DynamicColoring {
     /// The default frontier threshold, as a fraction of `n`: above `n/4` frontier vertices
@@ -211,7 +237,14 @@ impl DynamicColoring {
             });
         }
         let policy = RepairPolicy::Auto { frontier_threshold: Self::default_threshold(graph.n()) };
-        Ok(DynamicColoring { graph, coloring, policy, auto_compact: false })
+        Ok(DynamicColoring {
+            adjacency: MutableGraph::from_graph(&graph),
+            csr: OnceLock::from(graph),
+            coloring,
+            recolored: Vec::new(),
+            policy,
+            auto_compact: false,
+        })
     }
 
     /// Selects how conflicting batches are repaired (see [`RepairPolicy`]).
@@ -236,9 +269,34 @@ impl DynamicColoring {
         self
     }
 
-    /// The current graph.
+    /// The current graph in CSR form.
+    ///
+    /// Built on the first call after a batch changed an edge, in O(n + m), and cached
+    /// until the next such batch; every build counts in the `dynamic.csr_builds` counter.
+    /// The result equals `Graph::from_edges(n, edges).with_vertex_ids(ids)` over the
+    /// current edge set and the identifiers of the starting graph.  Callers that need
+    /// only sizes should use [`n`](DynamicColoring::n), [`m`](DynamicColoring::m) and
+    /// [`max_degree`](DynamicColoring::max_degree), which never build.
     pub fn graph(&self) -> &Graph {
-        &self.graph
+        self.csr.get_or_init(|| {
+            obs::incr_counter("dynamic.csr_builds", 1);
+            self.adjacency.to_graph()
+        })
+    }
+
+    /// Number of vertices.
+    pub fn n(&self) -> usize {
+        self.adjacency.n()
+    }
+
+    /// Number of edges of the current graph.
+    pub fn m(&self) -> usize {
+        self.adjacency.m()
+    }
+
+    /// Maximum degree of the current graph, in O(n).
+    pub fn max_degree(&self) -> usize {
+        self.adjacency.max_degree()
     }
 
     /// The maintained coloring (always legal on [`DynamicColoring::graph`]).
@@ -246,30 +304,48 @@ impl DynamicColoring {
         &self.coloring
     }
 
+    /// The color changes of the most recent successful [`apply`](DynamicColoring::apply)
+    /// or [`compact`](DynamicColoring::compact), as `(vertex, previous color)` pairs in
+    /// the order they were made: undoing them in reverse restores the coloring before that
+    /// call.  A failed `apply` leaves this untouched, like the rest of the state.
+    pub fn last_recolored(&self) -> &[(Vertex, Color)] {
+        &self.recolored
+    }
+
+    /// The number of monochromatic edges, by a full O(n + m) scan of the current graph
+    /// (0 whenever the maintained coloring is legal, which `apply` guarantees).
+    pub fn conflicts(&self) -> usize {
+        let colors = self.coloring.colors();
+        self.adjacency.edges().filter(|&(u, v)| colors[u] == colors[v]).count()
+    }
+
     /// Applies one batch of [`GraphUpdate`]s — mixed insertions and removals — and repairs
     /// the coloring.
     ///
     /// Updates resolve in order with last-write-wins semantics per edge; the net effect is
-    /// applied to the CSR in one [`Graph::patched`] merge.  Removals never create
-    /// conflicts, so only the genuinely new edges feed the conflict frontier.
+    /// edited into the adjacency in place, touching only the endpoints.  Removals never
+    /// create conflicts, so only the genuinely new edges feed the conflict frontier.  The
+    /// cost is O(batch + Σ deg(frontier)) unless the policy escalates to a full
+    /// re-coloring.
     ///
     /// # Errors
     ///
     /// Returns the graph layer's typed errors for invalid edges (out-of-range endpoints,
-    /// self-loops) before any state changes, propagates the repair coloring's errors, and
-    /// returns [`CoreError::InvariantViolated`] if the post-repair legality check fails (a
-    /// driver bug by construction).
+    /// self-loops), propagates the repair coloring's errors, and returns
+    /// [`CoreError::InvariantViolated`] if the post-repair legality check fails (which
+    /// only a bug in this module can cause).  On every error the graph and the coloring
+    /// are left exactly as they were.
     pub fn apply(&mut self, updates: &[GraphUpdate]) -> Result<BatchOutcome, CoreError> {
         let span = obs::phase("dynamic-apply");
 
         // Fold the batch into a last-write-wins overlay over canonical edges, validating
-        // every submitted edge up front so failed batches leave the state untouched.
+        // every submitted edge up front so invalid batches never touch the state.
         let mut submitted_edges = 0usize;
         let mut overlay: BTreeMap<(Vertex, Vertex), bool> = BTreeMap::new();
         for update in updates {
             for &(u, v) in update.edges() {
                 submitted_edges += 1;
-                let key = self.validated_canonical(u, v)?;
+                let key = self.adjacency.canonical(u, v)?;
                 overlay.insert(key, update.is_insert());
             }
         }
@@ -278,16 +354,12 @@ impl DynamicColoring {
         let mut to_insert: Vec<(Vertex, Vertex)> = Vec::new();
         let mut to_remove: Vec<(Vertex, Vertex)> = Vec::new();
         for (&(u, v), &present) in &overlay {
-            match (present, self.graph.has_edge(u, v)) {
+            match (present, self.adjacency.has_edge(u, v)) {
                 (true, false) => to_insert.push((u, v)),
                 (false, true) => to_remove.push((u, v)),
                 _ => {}
             }
         }
-        let new_graph = {
-            let _patch = obs::phase("csr-patch");
-            self.graph.patched(&to_insert, &to_remove)?
-        };
 
         // The conflict frontier: endpoints of newly monochromatic edges.  Checking the new
         // edges (not the whole graph) is what makes small batches cheap; removals cannot
@@ -300,18 +372,77 @@ impl DynamicColoring {
         frontier.sort_unstable();
         frontier.dedup();
 
+        {
+            let _patch = obs::phase("csr-patch");
+            self.edit(&to_insert, &to_remove);
+        }
+
+        // From here on the state is changed; every recoloring is journaled so an error
+        // can restore the coloring, and the edit is reversible because both sets are net.
+        let mut journal = Vec::new();
+        let absorbed = self.absorb(&to_insert, !to_remove.is_empty(), &frontier, &mut journal);
+        let (repaired, strategy, report, compaction) = match absorbed {
+            Ok(absorbed) => absorbed,
+            Err(err) => {
+                for &(v, old) in journal.iter().rev() {
+                    self.coloring.set(v, old);
+                }
+                self.edit(&to_remove, &to_insert);
+                return Err(err);
+            }
+        };
+        span.charge(report);
+        self.recolored = journal;
+
+        let outcome = BatchOutcome {
+            submitted_edges,
+            new_edges: to_insert.len(),
+            removed_edges: to_remove.len(),
+            frontier: frontier.len(),
+            repaired,
+            strategy,
+            compaction,
+            report,
+        };
+        obs::incr_counter("dynamic.batches", 1);
+        obs::incr_counter("dynamic.new_edges", outcome.new_edges as u64);
+        obs::incr_counter("dynamic.removed_edges", outcome.removed_edges as u64);
+        obs::incr_counter("dynamic.repaired", outcome.repaired.len() as u64);
+        obs::observe_value("dynamic.frontier_per_batch", outcome.frontier as u64);
+        Ok(outcome)
+    }
+
+    /// Edits the net `insert`/`remove` sets into the adjacency and drops the cached CSR.
+    /// `edit(remove, insert)` undoes `edit(insert, remove)`.
+    fn edit(&mut self, insert: &[(Vertex, Vertex)], remove: &[(Vertex, Vertex)]) {
+        if insert.is_empty() && remove.is_empty() {
+            return;
+        }
+        self.csr.take();
+        self.adjacency.patch(insert, remove).expect("batch edges were validated up front");
+    }
+
+    /// Repairs the coloring after the edit, runs the auto-compaction sweep, and checks the
+    /// post-condition.  Every color change is pushed to `journal` as
+    /// `(vertex, previous color)` before the next fallible step.
+    fn absorb(
+        &mut self,
+        inserted: &[(Vertex, Vertex)],
+        removed_any: bool,
+        frontier: &[Vertex],
+        journal: &mut Vec<(Vertex, Color)>,
+    ) -> Result<Absorbed, CoreError> {
         let escalate = match self.policy {
             RepairPolicy::Auto { frontier_threshold } => frontier.len() > frontier_threshold,
             RepairPolicy::AlwaysLocal => false,
             RepairPolicy::AlwaysFull => true,
         };
         let (repaired, strategy, report) = if frontier.is_empty() {
-            self.graph = new_graph;
             (Vec::new(), RepairStrategy::NoConflict, RoundReport::zero())
         } else if escalate {
             let run = {
                 let _full = obs::phase("full-recolor");
-                ghaffari_kuhn_coloring(&new_graph)?
+                ghaffari_kuhn_coloring(self.graph())?
             };
             let repaired: Vec<Vertex> = self
                 .coloring
@@ -322,51 +453,49 @@ impl DynamicColoring {
                 .filter(|(_, (old, new))| old != new)
                 .map(|(v, _)| v)
                 .collect();
-            self.graph = new_graph;
+            journal.extend(repaired.iter().map(|&v| (v, self.coloring.color(v))));
             self.coloring = run.coloring;
+            #[cfg(test)]
+            fault::trip(fault::Site::FullRecolor)?;
             (repaired, RepairStrategy::FullRecolor, run.report)
         } else {
             let _local = obs::phase("frontier-repair");
-            let (repaired, report) = self.repair_frontier(&new_graph, &frontier)?;
-            self.graph = new_graph;
+            let (repaired, report) = self.repair_frontier(frontier, journal)?;
             (repaired, RepairStrategy::LocalRepair, report)
         };
-        span.charge(report);
 
-        let mut outcome = BatchOutcome {
-            submitted_edges,
-            new_edges: to_insert.len(),
-            removed_edges: to_remove.len(),
-            frontier: frontier.len(),
-            repaired,
-            strategy,
-            compaction: None,
-            report,
+        let compaction = (self.auto_compact
+            && removed_any
+            && self.coloring.max_color() as usize > self.adjacency.max_degree())
+        .then(|| self.compact_into(journal));
+
+        // Independent post-condition.  The pre-batch coloring was legal and removals
+        // cannot create conflicts, so after a local repair only the inserted edges and the
+        // edges at recolored vertices can be monochromatic: checking those is exactly
+        // equivalent to checking the whole graph.  Full re-colorings and compactions
+        // recolor O(n) vertices anyway and keep the full scan.
+        let legal = if strategy == RepairStrategy::FullRecolor || compaction.is_some() {
+            self.conflicts() == 0
+        } else {
+            let colors = self.coloring.colors();
+            inserted.iter().all(|&(u, v)| colors[u] != colors[v])
+                && repaired
+                    .iter()
+                    .all(|&v| self.adjacency.neighbors(v).iter().all(|&u| colors[u] != colors[v]))
         };
-
-        if self.auto_compact
-            && outcome.removed_edges > 0
-            && self.coloring.max_color() as usize > self.graph.max_degree()
-        {
-            outcome.compaction = Some(self.compact());
-        }
-
-        // Independent post-condition: the maintained coloring is legal on the new graph.
-        if !self.coloring.is_legal(&self.graph) {
+        debug_assert_eq!(
+            legal,
+            self.coloring.is_legal(&self.adjacency.to_graph()),
+            "the post-condition must agree with a full legality check"
+        );
+        #[cfg(test)]
+        let legal = legal && fault::trip(fault::Site::PostCondition).is_ok();
+        if !legal {
             return Err(CoreError::InvariantViolated {
-                reason: format!(
-                    "repair left {} monochromatic edges",
-                    self.coloring.conflicts(&self.graph).len()
-                ),
+                reason: format!("repair left {} monochromatic edges", self.conflicts()),
             });
         }
-
-        obs::incr_counter("dynamic.batches", 1);
-        obs::incr_counter("dynamic.new_edges", outcome.new_edges as u64);
-        obs::incr_counter("dynamic.removed_edges", outcome.removed_edges as u64);
-        obs::incr_counter("dynamic.repaired", outcome.repaired.len() as u64);
-        obs::observe_value("dynamic.frontier_per_batch", outcome.frontier as u64);
-        Ok(outcome)
+        Ok((repaired, strategy, report, compaction))
     }
 
     /// Re-tightens the palette after deletions freed slack: deterministic greedy sweeps
@@ -385,22 +514,32 @@ impl DynamicColoring {
     /// The sweep is centralized and executor-independent, so compaction is bit-identical
     /// across executors and replays by construction.
     pub fn compact(&mut self) -> CompactionDelta {
+        let mut journal = Vec::new();
+        let delta = self.compact_into(&mut journal);
+        self.recolored = journal;
+        delta
+    }
+
+    /// [`compact`](DynamicColoring::compact), journaling each vertex whose color changed
+    /// as `(vertex, color before the sweep)`.
+    fn compact_into(&mut self, journal: &mut Vec<(Vertex, Color)>) -> CompactionDelta {
         let _span = obs::phase("compaction");
         let colors_before = self.coloring.distinct_colors();
         let initial = self.coloring.colors().to_vec();
+        let n = self.adjacency.n();
 
         // Sweep to a fixpoint: descending current color, ties by ascending vertex index,
         // so the loosest vertices move first, into the slack the tight ones never
         // occupied.  Each improving pass strictly decreases the (integer) sum of colors,
         // so the loop terminates; in practice two or three passes suffice.
-        let mut palette = PaletteSet::new(self.graph.max_degree() as u64 + 1);
+        let mut palette = PaletteSet::new(self.adjacency.max_degree() as u64 + 1);
         loop {
-            let mut order: Vec<Vertex> = (0..self.graph.n()).collect();
+            let mut order: Vec<Vertex> = (0..n).collect();
             order.sort_unstable_by_key(|&v| (std::cmp::Reverse(self.coloring.color(v)), v));
             let mut moved = false;
             for &v in &order {
                 palette.clear();
-                for &u in self.graph.neighbors(v) {
+                for &u in self.adjacency.neighbors(v) {
                     palette.strike(self.coloring.color(u));
                 }
                 let free = palette
@@ -432,12 +571,13 @@ impl DynamicColoring {
             }
         }
         let mut recolored = 0usize;
-        for v in 0..self.graph.n() {
+        for (v, &old) in initial.iter().enumerate() {
             let relabeled = rank[self.coloring.color(v) as usize];
             if relabeled != self.coloring.color(v) {
                 self.coloring.set(v, relabeled);
             }
-            if self.coloring.color(v) != initial[v] {
+            if relabeled != old {
+                journal.push((v, old));
                 recolored += 1;
             }
         }
@@ -452,40 +592,23 @@ impl DynamicColoring {
         delta
     }
 
-    /// Validates one submitted edge against the current graph and returns it in canonical
-    /// `u < v` order.
-    fn validated_canonical(&self, u: Vertex, v: Vertex) -> Result<(Vertex, Vertex), CoreError> {
-        let n = self.graph.n();
-        if u >= n {
-            return Err(arbcolor_graph::GraphError::VertexOutOfRange { vertex: u, n }.into());
-        }
-        if v >= n {
-            return Err(arbcolor_graph::GraphError::VertexOutOfRange { vertex: v, n }.into());
-        }
-        if u == v {
-            return Err(arbcolor_graph::GraphError::SelfLoop { vertex: u }.into());
-        }
-        Ok(if u < v { (u, v) } else { (v, u) })
-    }
-
-    /// Re-colors the induced subgraph on `frontier` with a list-coloring instance that is
-    /// compatible with every non-frontier neighbor.  Returns the ascending list of
-    /// vertices that changed color and the simulated cost.
-    fn repair_frontier(
-        &mut self,
-        new_graph: &Graph,
+    /// The local repair instance on the (ascending) `frontier`: its induced subgraph,
+    /// read straight off the adjacency, and per-vertex lists compatible with every
+    /// non-frontier neighbor.
+    fn repair_instance(
+        &self,
         frontier: &[Vertex],
-    ) -> Result<(Vec<Vertex>, RoundReport), CoreError> {
-        let sub = InducedSubgraph::new(new_graph, frontier);
+    ) -> Result<(InducedSubgraph, ColorLists), CoreError> {
+        let sub = self.adjacency.induced_subgraph(frontier);
         let lists: Vec<Vec<Color>> = frontier
             .iter()
             .map(|&v| {
                 // {0, …, deg(v)} minus the colors of v's neighbors outside the frontier.
                 // At most deg(v) − deg_sub(v) removals hit the base list, so at least
                 // deg_sub(v) + 1 colors survive: the instance always has greedy slack.
-                let mut list: Vec<Color> = (0..=new_graph.degree(v) as Color).collect();
-                let blocked: Vec<Color> = new_graph
-                    .neighbors(v)
+                let neighbors = self.adjacency.neighbors(v);
+                let mut list: Vec<Color> = (0..=neighbors.len() as Color).collect();
+                let blocked: Vec<Color> = neighbors
                     .iter()
                     .filter(|&&u| sub.map.to_child(u).is_none())
                     .map(|&u| self.coloring.color(u))
@@ -495,16 +618,70 @@ impl DynamicColoring {
             })
             .collect();
         let instance = ColorLists::new(&sub.graph, lists)?;
+        Ok((sub, instance))
+    }
+
+    /// Re-colors the induced subgraph on `frontier` with a list-coloring instance that is
+    /// compatible with every non-frontier neighbor.  Returns the ascending list of
+    /// vertices that changed color and the simulated cost; each change is journaled.
+    fn repair_frontier(
+        &mut self,
+        frontier: &[Vertex],
+        journal: &mut Vec<(Vertex, Color)>,
+    ) -> Result<(Vec<Vertex>, RoundReport), CoreError> {
+        let (sub, instance) = self.repair_instance(frontier)?;
         let run = ghaffari_kuhn_list_coloring(&sub.graph, &instance)?;
         let mut repaired = Vec::new();
         for (child, &parent) in frontier.iter().enumerate() {
             let new_color = run.coloring.color(child);
-            if self.coloring.color(parent) != new_color {
+            let old_color = self.coloring.color(parent);
+            if old_color != new_color {
+                journal.push((parent, old_color));
                 self.coloring.set(parent, new_color);
                 repaired.push(parent);
             }
         }
+        #[cfg(test)]
+        fault::trip(fault::Site::Repair)?;
         Ok((repaired, run.report))
+    }
+}
+
+/// A test-only switch that makes one error path of `apply` fire, so the tests can check
+/// that every failure leaves the state as it was.
+#[cfg(test)]
+mod fault {
+    use std::cell::Cell;
+
+    use crate::error::CoreError;
+
+    /// A point in `apply` where an error can surface after the adjacency was edited.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) enum Site {
+        /// The local repair's list coloring.
+        Repair,
+        /// The full re-coloring.
+        FullRecolor,
+        /// The legality post-condition.
+        PostCondition,
+    }
+
+    thread_local! {
+        static ARMED: Cell<Option<Site>> = const { Cell::new(None) };
+    }
+
+    /// Makes the next pass through `site` on this thread fail.
+    pub(super) fn arm(site: Site) {
+        ARMED.with(|armed| armed.set(Some(site)));
+    }
+
+    /// Fails, once, if `site` is armed.
+    pub(super) fn trip(site: Site) -> Result<(), CoreError> {
+        if ARMED.with(|armed| armed.get()) != Some(site) {
+            return Ok(());
+        }
+        ARMED.with(|armed| armed.set(None));
+        Err(CoreError::InvariantViolated { reason: format!("injected fault at {site:?}") })
     }
 }
 
@@ -761,6 +938,125 @@ mod tests {
             ])
             .unwrap();
         assert_eq!(dynamic.graph().ids(), &ids[..]);
+    }
+
+    /// Up to `limit` absent edges between same-colored vertices: a batch that must conflict.
+    fn conflicting_edges(dynamic: &DynamicColoring, limit: usize) -> Vec<(Vertex, Vertex)> {
+        let colors = dynamic.coloring().colors();
+        let mut batch = Vec::new();
+        for u in 0..dynamic.n() {
+            for v in (u + 1)..dynamic.n() {
+                if batch.len() < limit && colors[u] == colors[v] && !dynamic.graph().has_edge(u, v)
+                {
+                    batch.push((u, v));
+                }
+            }
+        }
+        batch
+    }
+
+    #[test]
+    fn every_failed_apply_leaves_the_state_untouched() {
+        let g = generators::union_of_random_forests(120, 3, 4).unwrap().with_shuffled_ids(2);
+        let cases = [
+            (fault::Site::Repair, RepairPolicy::AlwaysLocal, false),
+            (fault::Site::FullRecolor, RepairPolicy::AlwaysFull, false),
+            (fault::Site::PostCondition, RepairPolicy::AlwaysLocal, false),
+            (fault::Site::PostCondition, RepairPolicy::AlwaysFull, false),
+            // Removals with a loose palette: the batch also runs (and must undo) a sweep.
+            (fault::Site::PostCondition, RepairPolicy::AlwaysLocal, true),
+        ];
+        for (site, policy, auto_compact) in cases {
+            let mut dynamic = DynamicColoring::new(g.clone())
+                .unwrap()
+                .with_repair_policy(policy)
+                .with_auto_compact(auto_compact);
+            // One successful batch first, so there is a journal to preserve.
+            let warmup = conflicting_edges(&dynamic, 2);
+            dynamic.apply(&[GraphUpdate::InsertEdges(warmup)]).unwrap();
+            if auto_compact {
+                // Lift one vertex far above Δ + 1 so a removal batch must compact.
+                let v = (0..dynamic.n()).find(|&v| dynamic.adjacency.degree(v) > 0).unwrap();
+                dynamic.coloring.set(v, 10_000);
+            }
+            let graph = dynamic.graph().clone();
+            let coloring = dynamic.coloring().clone();
+            let journal = dynamic.last_recolored().to_vec();
+            let mut batch = vec![GraphUpdate::InsertEdges(conflicting_edges(&dynamic, 3))];
+            batch.push(GraphUpdate::RemoveEdges(graph.edges()[..4].to_vec()));
+            fault::arm(site);
+            let err = dynamic.apply(&batch).unwrap_err();
+            assert!(matches!(err, CoreError::InvariantViolated { .. }), "{site:?}: {err}");
+            assert_eq!(dynamic.graph(), &graph, "{site:?}: graph changed");
+            assert_eq!(dynamic.coloring(), &coloring, "{site:?}: coloring changed");
+            assert_eq!(dynamic.m(), graph.m(), "{site:?}: m changed");
+            assert_eq!(dynamic.last_recolored(), &journal[..], "{site:?}: journal changed");
+            // The same batch goes through once the fault is gone.
+            let outcome = dynamic.apply(&batch).unwrap();
+            assert_eq!(outcome.compaction.is_some(), auto_compact, "{site:?}");
+            assert!(dynamic.coloring().is_legal(dynamic.graph()));
+        }
+    }
+
+    #[test]
+    fn the_repair_instance_matches_the_induced_subgraph_of_the_materialized_graph() {
+        let g = generators::union_of_random_forests(300, 3, 8).unwrap().with_shuffled_ids(1);
+        let mut dynamic = DynamicColoring::new(g).unwrap();
+        let batch = conflicting_edges(&dynamic, 8);
+        dynamic
+            .apply(&[
+                GraphUpdate::InsertEdges(batch.clone()),
+                GraphUpdate::RemoveEdges(dynamic.graph().edges()[..5].to_vec()),
+            ])
+            .unwrap();
+        let mut frontier: Vec<Vertex> = batch.iter().flat_map(|&(u, v)| [u, v]).collect();
+        frontier.sort_unstable();
+        frontier.dedup();
+        let graph = dynamic.graph();
+        let (sub, instance) = dynamic.repair_instance(&frontier).unwrap();
+        let reference = InducedSubgraph::new(graph, &frontier);
+        assert_eq!(sub.graph, reference.graph);
+        assert_eq!(sub.map, reference.map);
+        for (child, &v) in frontier.iter().enumerate() {
+            let blocked: Vec<Color> = graph
+                .neighbors(v)
+                .iter()
+                .filter(|&&u| reference.map.to_child(u).is_none())
+                .map(|&u| dynamic.coloring().color(u))
+                .collect();
+            let list: Vec<Color> =
+                (0..=graph.degree(v) as Color).filter(|c| !blocked.contains(c)).collect();
+            assert_eq!(instance.list(child), &list[..], "list of frontier vertex {v}");
+        }
+    }
+
+    #[test]
+    fn undoing_the_journal_restores_the_previous_coloring() {
+        let g = generators::complete(8).unwrap();
+        let mut dynamic = DynamicColoring::new(g).unwrap().with_auto_compact(true);
+        let check = |dynamic: &DynamicColoring, before: &[Color]| {
+            let mut colors = dynamic.coloring().colors().to_vec();
+            for &(v, old) in dynamic.last_recolored().iter().rev() {
+                colors[v] = old;
+            }
+            assert_eq!(colors, before);
+        };
+        // Deletions that auto-compact, a conflicting insertion, then an explicit sweep.
+        let before = dynamic.coloring().colors().to_vec();
+        let doomed: Vec<(Vertex, Vertex)> =
+            dynamic.graph().edges().iter().copied().filter(|&(u, v)| v != u + 1).collect();
+        let outcome = dynamic.apply(&[GraphUpdate::RemoveEdges(doomed)]).unwrap();
+        assert!(outcome.compaction.is_some());
+        assert!(!dynamic.last_recolored().is_empty());
+        check(&dynamic, &before);
+        let before = dynamic.coloring().colors().to_vec();
+        let batch = conflicting_edges(&dynamic, 3);
+        let outcome = dynamic.apply(&[GraphUpdate::InsertEdges(batch)]).unwrap();
+        assert_eq!(dynamic.last_recolored().len(), outcome.repaired.len());
+        check(&dynamic, &before);
+        let before = dynamic.coloring().colors().to_vec();
+        dynamic.compact();
+        check(&dynamic, &before);
     }
 
     #[test]

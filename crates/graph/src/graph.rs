@@ -130,21 +130,6 @@ impl Graph {
         self.offsets[v]..self.offsets[v + 1]
     }
 
-    /// The arc indices owned by a contiguous vertex range (empty ranges yield empty spans).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vertices.end > n`.
-    pub fn arc_span(&self, vertices: std::ops::Range<Vertex>) -> std::ops::Range<ArcIdx> {
-        assert!(vertices.end <= self.n, "vertex range out of bounds");
-        if vertices.start >= vertices.end {
-            let at = self.offsets[vertices.start.min(self.n)];
-            at..at
-        } else {
-            self.offsets[vertices.start]..self.offsets[vertices.end]
-        }
-    }
-
     /// The head (target vertex) of arc `a`: `arc_target(arc_range(v).start + p)` is the
     /// neighbor at port `p` of `v`.
     ///
@@ -241,8 +226,8 @@ impl Graph {
     /// Returns a copy of the graph carrying the given identifier vector, which must be a
     /// permutation of `1..=n`.
     ///
-    /// The dynamic-graph driver uses this to preserve LOCAL-model identifiers across CSR
-    /// rebuilds: a vertex keeps its identity when edges are inserted around it.
+    /// Rebuilds use this to keep LOCAL-model identifiers stable: a vertex keeps its
+    /// identity when edges change around it.
     ///
     /// # Errors
     ///
@@ -291,8 +276,8 @@ impl Graph {
         self.neighbors(v).binary_search(&u).ok()
     }
 
-    /// Replaces the identifier vector (crate-internal; used by induced subgraphs to inherit
-    /// the identifiers of their parent graph).
+    /// Replaces the identifier vector (crate-internal; induced subgraphs inherit their
+    /// parent's identifiers through it, and mutable graphs restore theirs).
     pub(crate) fn set_ids(&mut self, ids: Vec<u64>) {
         debug_assert_eq!(ids.len(), self.n);
         self.ids = ids;
@@ -300,9 +285,10 @@ impl Graph {
 
     /// Assembles the CSR arrays from a canonical edge list that is already sorted,
     /// de-duplicated, validated, and ordered `u < v` per edge.  Both [`GraphBuilder::build`]
-    /// and [`Graph::patched`] funnel through here, which is what makes a patched graph
-    /// bit-identical to a from-scratch rebuild over the same edge set.
-    fn from_sorted_edges(n: usize, edges: Vec<(Vertex, Vertex)>) -> Graph {
+    /// and [`MutableGraph::to_graph`](crate::MutableGraph::to_graph) funnel through here,
+    /// which is what makes a materialized mutable graph bit-identical to a from-scratch
+    /// rebuild over the same edge set.
+    pub(crate) fn from_sorted_edges(n: usize, edges: Vec<(Vertex, Vertex)>) -> Graph {
         debug_assert!(
             edges.windows(2).all(|w| w[0] < w[1]) && edges.iter().all(|&(u, v)| u < v && v < n),
             "from_sorted_edges requires a sorted, de-duplicated, canonical edge list"
@@ -339,97 +325,6 @@ impl Graph {
         );
 
         Graph { n, offsets, adjacency, arc_edge, mirror_arc, edges, ids: (1..=n as u64).collect() }
-    }
-
-    /// Returns a copy of the graph with `insert` edges added and `remove` edges taken out,
-    /// preserving the vertex identifiers without re-validation.
-    ///
-    /// This is the incremental update path for small batches: the existing canonical edge
-    /// list is already sorted, so the patch sorts only the batch and merges in
-    /// O(n + m + b log b) — a full [`GraphBuilder`] rebuild re-sorts all `m + b` edges and
-    /// re-checks the identifier permutation on top.  The result is **bit-identical** to a
-    /// from-scratch rebuild over the same final edge set (both paths assemble the CSR from
-    /// the same sorted list), so callers may switch freely between the two.
-    ///
-    /// Semantics: removals are applied first, then insertions.  Removing an absent edge and
-    /// inserting a present one are no-ops; an edge named in both lists ends up present.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::VertexOutOfRange`] or [`GraphError::SelfLoop`] if any edge in
-    /// either list is invalid; the graph is untouched on error.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use arbcolor_graph::Graph;
-    /// let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)])?;
-    /// let h = g.patched(&[(0, 3)], &[(1, 2)])?;
-    /// assert_eq!(h.m(), 3);
-    /// assert!(h.has_edge(0, 3) && !h.has_edge(1, 2));
-    /// # Ok::<(), arbcolor_graph::GraphError>(())
-    /// ```
-    pub fn patched(
-        &self,
-        insert: &[(Vertex, Vertex)],
-        remove: &[(Vertex, Vertex)],
-    ) -> Result<Graph, GraphError> {
-        let canon = |&(u, v): &(Vertex, Vertex)| -> Result<(Vertex, Vertex), GraphError> {
-            if u >= self.n {
-                return Err(GraphError::VertexOutOfRange { vertex: u, n: self.n });
-            }
-            if v >= self.n {
-                return Err(GraphError::VertexOutOfRange { vertex: v, n: self.n });
-            }
-            if u == v {
-                return Err(GraphError::SelfLoop { vertex: u });
-            }
-            Ok(if u < v { (u, v) } else { (v, u) })
-        };
-        let mut ins = insert.iter().map(canon).collect::<Result<Vec<_>, _>>()?;
-        ins.sort_unstable();
-        ins.dedup();
-        let mut rem = remove.iter().map(canon).collect::<Result<Vec<_>, _>>()?;
-        rem.sort_unstable();
-        rem.dedup();
-
-        // Merge the two sorted streams; the (sorted) removal set filters old edges only, so
-        // "remove then insert" falls out of the case analysis.
-        let mut edges = Vec::with_capacity(self.edges.len() + ins.len());
-        let (mut i, mut j, mut k) = (0usize, 0usize, 0usize);
-        while i < self.edges.len() || j < ins.len() {
-            let old = self.edges.get(i).copied();
-            let add = ins.get(j).copied();
-            let take_old = match (old, add) {
-                (Some(o), Some(x)) => o <= x,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if take_old {
-                let o = old.expect("take_old implies an old edge remains");
-                i += 1;
-                if add == Some(o) {
-                    // Inserting a present edge: keep it (even if also named in `remove`).
-                    j += 1;
-                    edges.push(o);
-                    continue;
-                }
-                while k < rem.len() && rem[k] < o {
-                    k += 1;
-                }
-                if k < rem.len() && rem[k] == o {
-                    continue; // removed
-                }
-                edges.push(o);
-            } else {
-                edges.push(add.expect("!take_old implies an insert edge remains"));
-                j += 1;
-            }
-        }
-
-        let mut g = Graph::from_sorted_edges(self.n, edges);
-        g.ids = self.ids.clone();
-        Ok(g)
     }
 }
 
@@ -596,16 +491,6 @@ mod tests {
                 assert_eq!(g.arc_target(g.arc_range(v).start + port), u);
             }
         }
-    }
-
-    #[test]
-    fn arc_span_matches_concatenated_ranges() {
-        let g = Graph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]).unwrap();
-        assert_eq!(g.arc_span(0..g.n()), 0..g.num_arcs());
-        assert_eq!(g.arc_span(1..3).start, g.arc_range(1).start);
-        assert_eq!(g.arc_span(1..3).end, g.arc_range(2).end);
-        assert!(g.arc_span(2..2).is_empty());
-        assert!(g.arc_span(5..5).is_empty());
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! * [`Graph`] — a compact, immutable undirected simple graph in CSR (compressed sparse row)
 //!   form, with a canonical edge index and per-vertex unique identifiers (the LOCAL model
 //!   assumes IDs from `{1, …, n}`).
+//! * [`mutable`] — [`MutableGraph`], per-vertex sorted neighbor lists that change an edge
+//!   at a time and materialize the CSR form on demand (how `arbcolor::dynamic` keeps its graph).
 //! * [`subgraph`] — induced subgraphs with index mappings back to the parent graph, used by
 //!   the recursive procedures of the paper (which recurse on color classes).
 //! * [`orientation`] — complete and *partial* edge orientations together with their
@@ -49,6 +51,7 @@ pub mod error;
 pub mod generators;
 pub mod graph;
 pub mod io;
+pub mod mutable;
 pub mod orientation;
 pub mod palette;
 pub mod properties;
@@ -57,6 +60,7 @@ pub mod subgraph;
 pub use coloring::{Color, Coloring};
 pub use error::GraphError;
 pub use graph::{ArcIdx, EdgeIdx, Graph, GraphBuilder, Vertex};
+pub use mutable::MutableGraph;
 pub use orientation::{EdgeDirection, Orientation};
 pub use palette::{ColorPool, PaletteSet, PaletteStats, PaletteStatsSnapshot};
 pub use subgraph::{InducedSubgraph, PartitionScratch, VertexMap};

@@ -53,7 +53,7 @@ impl VertexMap {
     /// Builds the map from parent vertices listed in child-index order (duplicates must have
     /// been removed by the caller).  Picks the zero-overhead sorted representation whenever
     /// the input is ascending.
-    fn from_ordered(to_parent: Vec<Vertex>) -> Self {
+    pub(crate) fn from_ordered(to_parent: Vec<Vertex>) -> Self {
         let sorted = to_parent.windows(2).all(|w| w[0] < w[1]);
         let lookup = if sorted {
             ChildLookup::Sorted

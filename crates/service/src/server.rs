@@ -1,13 +1,19 @@
 //! The coloring service: a protocol-agnostic state machine and the TCP daemon around it.
 //!
 //! [`ColoringService`] owns a [`DynamicColoring`] plus an epoch counter and a bounded
-//! history of epoch-stamped coloring snapshots; [`ColoringService::handle`] maps every
+//! snapshot history; [`ColoringService::handle`] maps every
 //! [`Request`] to a [`Response`] with no I/O at all, which is what the unit and
 //! integration tests drive.  [`ServiceServer`] wraps that state machine in a `std::net`
 //! TCP accept loop — one thread per connection, a shared `Mutex` around the state with a
 //! per-request acquisition deadline (expired deadlines become typed
 //! [`ServiceError::Timeout`] replies instead of stalled sockets), and a cooperative
 //! shutdown path that unblocks the accept loop with a self-connection.
+//!
+//! The snapshot history holds no copies of the coloring.  Each epoch stores its diff, the
+//! `(vertex, previous color)` pairs of [`DynamicColoring::last_recolored`], so recording
+//! an epoch costs O(recolored vertices) — a couple of entries for a typical local repair.
+//! `Snapshot(e)` copies the current colors and undoes the diffs of the epochs after `e`,
+//! newest first.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -19,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use arbcolor::dynamic::DynamicColoring;
 use arbcolor::CoreError;
-use arbcolor_graph::{Graph, GraphError};
+use arbcolor_graph::{Color, Graph, GraphError, Vertex};
 use arbcolor_runtime::obs;
 
 use crate::protocol::{read_frame, write_frame, Request, Response, ServiceError, ServiceStats};
@@ -53,15 +59,17 @@ impl Default for ServiceConfig {
 /// The protocol-agnostic service state machine.
 ///
 /// Owns the dynamic coloring, stamps every successful mutation with a fresh epoch, and
-/// retains the last [`ServiceConfig::snapshot_history`] colorings so clients can read
-/// consistent snapshots slightly behind the write head.  All I/O lives in
+/// can reconstruct the last [`ServiceConfig::snapshot_history`] colorings so clients can
+/// read consistent snapshots slightly behind the write head.  All I/O lives in
 /// [`ServiceServer`]; this type is driven directly in tests and benchmarks.
 #[derive(Debug)]
 pub struct ColoringService {
     dynamic: DynamicColoring,
     config: ServiceConfig,
     epoch: u64,
-    snapshots: VecDeque<(u64, Vec<u64>)>,
+    /// The diffs of the newest retained epochs, oldest first: the last entry turns epoch
+    /// `epoch - 1` into `epoch`.  Epochs `epoch - diffs.len() ..= epoch` can be served.
+    diffs: VecDeque<Vec<(Vertex, Color)>>,
     shutdown_requested: bool,
     batches: u64,
     new_edges: u64,
@@ -79,11 +87,11 @@ impl ColoringService {
     /// Propagates any failure of the initial coloring pass.
     pub fn new(graph: Graph, config: ServiceConfig) -> Result<Self, CoreError> {
         let dynamic = DynamicColoring::new(graph)?.with_auto_compact(config.auto_compact);
-        let mut service = ColoringService {
+        Ok(ColoringService {
             dynamic,
             config,
             epoch: 0,
-            snapshots: VecDeque::new(),
+            diffs: VecDeque::new(),
             shutdown_requested: false,
             batches: 0,
             new_edges: 0,
@@ -91,9 +99,7 @@ impl ColoringService {
             repaired: 0,
             compactions: 0,
             queries: 0,
-        };
-        service.record_snapshot();
-        Ok(service)
+        })
     }
 
     /// Starts a service over an edgeless graph on `n` vertices.
@@ -121,17 +127,34 @@ impl ColoringService {
         &self.dynamic
     }
 
-    fn record_snapshot(&mut self) {
-        let colors = self.dynamic.coloring().colors().to_vec();
-        self.snapshots.push_back((self.epoch, colors));
-        while self.snapshots.len() > self.config.snapshot_history.max(1) {
-            self.snapshots.pop_front();
+    /// The oldest epoch `Snapshot` can still serve.
+    fn oldest_epoch(&self) -> u64 {
+        self.epoch - self.diffs.len() as u64
+    }
+
+    /// Stamps the mutation just made with a fresh epoch and records its diff, evicting
+    /// the diffs of epochs that fell out of the history.
+    fn advance_epoch(&mut self) {
+        self.epoch += 1;
+        self.diffs.push_back(self.dynamic.last_recolored().to_vec());
+        while self.diffs.len() >= self.config.snapshot_history.max(1) {
+            self.diffs.pop_front();
         }
     }
 
-    fn advance_epoch(&mut self) {
-        self.epoch += 1;
-        self.record_snapshot();
+    /// The coloring at `epoch`, if the history still reaches it: the current colors with
+    /// the diffs of every later epoch undone, newest first.
+    fn colors_at(&self, epoch: u64) -> Option<Vec<Color>> {
+        if epoch < self.oldest_epoch() || epoch > self.epoch {
+            return None;
+        }
+        let mut colors = self.dynamic.coloring().colors().to_vec();
+        for diff in self.diffs.iter().rev().take((self.epoch - epoch) as usize) {
+            for &(v, old) in diff.iter().rev() {
+                colors[v] = old;
+            }
+        }
+        Some(colors)
     }
 
     /// Handles one request, mutating the state as needed.  Never panics on bad input —
@@ -177,7 +200,7 @@ impl ColoringService {
                 Err(err) => Response::Error(core_error_to_service(&err)),
             },
             Request::QueryColors(vertices) => {
-                let n = self.dynamic.graph().n();
+                let n = self.dynamic.n();
                 let mut colors = Vec::with_capacity(vertices.len());
                 for v in vertices {
                     if v >= n {
@@ -193,27 +216,21 @@ impl ColoringService {
             }
             Request::Snapshot(epoch) => {
                 let requested = epoch.unwrap_or(self.epoch);
-                match self.snapshots.iter().find(|(e, _)| *e == requested) {
-                    Some((epoch, colors)) => {
-                        Response::Snapshot { epoch: *epoch, colors: colors.clone() }
-                    }
-                    None => {
-                        let oldest = self.snapshots.front().map_or(0, |(e, _)| *e);
-                        let newest = self.snapshots.back().map_or(0, |(e, _)| *e);
-                        Response::Error(ServiceError::EpochUnavailable {
-                            requested,
-                            oldest,
-                            newest,
-                        })
-                    }
+                match self.colors_at(requested) {
+                    Some(colors) => Response::Snapshot { epoch: requested, colors },
+                    None => Response::Error(ServiceError::EpochUnavailable {
+                        requested,
+                        oldest: self.oldest_epoch(),
+                        newest: self.epoch,
+                    }),
                 }
             }
             Request::Stats => Response::Stats(ServiceStats {
-                n: self.dynamic.graph().n() as u64,
-                m: self.dynamic.graph().m() as u64,
+                n: self.dynamic.n() as u64,
+                m: self.dynamic.m() as u64,
                 epoch: self.epoch,
                 colors: self.dynamic.coloring().distinct_colors() as u64,
-                max_degree: self.dynamic.graph().max_degree() as u64,
+                max_degree: self.dynamic.max_degree() as u64,
                 batches: self.batches,
                 new_edges: self.new_edges,
                 removed_edges: self.removed_edges,
@@ -233,15 +250,7 @@ impl ColoringService {
                 }
             }
             Request::Verify => {
-                let conflicts = self
-                    .dynamic
-                    .graph()
-                    .edges()
-                    .iter()
-                    .filter(|&&(u, v)| {
-                        self.dynamic.coloring().colors()[u] == self.dynamic.coloring().colors()[v]
-                    })
-                    .count() as u64;
+                let conflicts = self.dynamic.conflicts() as u64;
                 Response::Verified { legal: conflicts == 0, conflicts }
             }
             Request::Shutdown => {
@@ -636,6 +645,143 @@ mod tests {
         assert!(!svc.shutdown_requested());
         assert!(matches!(svc.handle(Request::Shutdown), Response::ShuttingDown));
         assert!(svc.shutdown_requested());
+    }
+
+    fn snapshot(svc: &mut ColoringService, epoch: Option<u64>) -> (u64, Vec<u64>) {
+        match svc.handle(Request::Snapshot(epoch)) {
+            Response::Snapshot { epoch, colors } => (epoch, colors),
+            other => panic!("expected Snapshot, got {other:?}"),
+        }
+    }
+
+    fn edge_count(svc: &mut ColoringService) -> u64 {
+        match svc.handle(Request::Stats) {
+            Response::Stats(stats) => stats.m,
+            other => panic!("expected Stats, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_failed_apply_leaves_the_epoch_and_the_snapshot_untouched() {
+        let mut svc = service(6);
+        svc.handle(Request::Apply(vec![GraphUpdate::InsertEdges(vec![(0, 1), (1, 2), (2, 3)])]));
+        let epoch = svc.epoch();
+        let head = snapshot(&mut svc, None);
+        let m = edge_count(&mut svc);
+        // Valid edits (one conflicting, one removal) ahead of the bad edge must not land.
+        let conflicting = (0..6).find(|&v| v != 0 && head.1[v] == head.1[0]).unwrap();
+        for bad in [(4, 99), (5, 5)] {
+            let reply = svc.handle(Request::Apply(vec![
+                GraphUpdate::InsertEdges(vec![(0, conflicting), (4, 5)]),
+                GraphUpdate::RemoveEdges(vec![(1, 2)]),
+                GraphUpdate::InsertEdges(vec![bad]),
+            ]));
+            assert!(matches!(reply, Response::Error(_)), "expected an error, got {reply:?}");
+            assert_eq!(svc.epoch(), epoch);
+            assert_eq!(snapshot(&mut svc, None), head);
+            assert_eq!(edge_count(&mut svc), m);
+        }
+    }
+
+    #[test]
+    fn every_retained_snapshot_matches_a_full_copy_model() {
+        use crate::workload::{generate, WorkloadConfig, WorkloadOp};
+        let config = ServiceConfig { snapshot_history: 5, ..ServiceConfig::default() };
+        let mut svc = ColoringService::empty(96, config).unwrap();
+        let ops = generate(&WorkloadConfig {
+            n: 96,
+            ops: 240,
+            batch_size: 8,
+            compact_every: 25,
+            seed: 11,
+            ..WorkloadConfig::default()
+        });
+        // The naive model: a full copy of the coloring at every epoch.
+        let mut model: Vec<Vec<u64>> = vec![svc.dynamic().coloring().colors().to_vec()];
+        for op in ops {
+            let reply = match op {
+                WorkloadOp::Apply(updates) => svc.handle(Request::Apply(updates)),
+                WorkloadOp::QueryColors(vertices) => svc.handle(Request::QueryColors(vertices)),
+                WorkloadOp::Compact => svc.handle(Request::Compact),
+            };
+            assert!(!matches!(reply, Response::Error(_)), "{reply:?}");
+            if svc.epoch() as usize == model.len() {
+                model.push(svc.dynamic().coloring().colors().to_vec());
+            }
+            assert_eq!(svc.epoch() as usize + 1, model.len());
+            let oldest = svc.epoch().saturating_sub(4);
+            for e in oldest..=svc.epoch() {
+                assert_eq!(snapshot(&mut svc, Some(e)), (e, model[e as usize].clone()), "{e}");
+            }
+            if oldest > 0 {
+                match svc.handle(Request::Snapshot(Some(oldest - 1))) {
+                    Response::Error(ServiceError::EpochUnavailable {
+                        oldest: o, newest, ..
+                    }) => {
+                        assert_eq!((o, newest), (oldest, svc.epoch()));
+                    }
+                    other => panic!("expected EpochUnavailable, got {other:?}"),
+                }
+            }
+        }
+        assert!(svc.epoch() > 100);
+        assert!(svc.compactions > 0);
+    }
+
+    #[test]
+    fn a_churn_stream_builds_no_csr() {
+        use crate::workload::{generate, WorkloadConfig, WorkloadOp};
+        use arbcolor::dynamic::RepairStrategy;
+        use arbcolor_runtime::SpanCollector;
+        let collector = SpanCollector::new();
+        let full_recolors = {
+            let _recording = obs::install(&collector);
+            let mut svc = service(512);
+            let ops = generate(&WorkloadConfig {
+                n: 512,
+                ops: 400,
+                batch_size: 8,
+                insert_weight: 1,
+                remove_weight: 1,
+                compact_every: 50,
+                seed: 3,
+                ..WorkloadConfig::default()
+            });
+            let mut full_recolors = 0u64;
+            for (i, op) in ops.into_iter().enumerate() {
+                let request = match op {
+                    WorkloadOp::Apply(updates) => Request::Apply(updates),
+                    WorkloadOp::QueryColors(vertices) => Request::QueryColors(vertices),
+                    WorkloadOp::Compact => Request::Compact,
+                };
+                match svc.handle(request) {
+                    Response::Applied { strategy, .. } => {
+                        full_recolors += u64::from(strategy == RepairStrategy::FullRecolor);
+                    }
+                    Response::Error(err) => panic!("{err:?}"),
+                    _ => {}
+                }
+                let side = match i % 3 {
+                    0 => Request::Stats,
+                    1 => Request::Snapshot(None),
+                    _ => Request::Snapshot(Some(svc.epoch().saturating_sub(3))),
+                };
+                assert!(!matches!(svc.handle(side), Response::Error(_)));
+            }
+            assert!(matches!(
+                svc.handle(Request::Verify),
+                Response::Verified { legal: true, conflicts: 0 }
+            ));
+            full_recolors
+        };
+        let builds = collector
+            .metrics()
+            .counters()
+            .find(|(name, _)| *name == "dynamic.csr_builds")
+            .map_or(0, |(_, count)| count);
+        assert!(collector.metrics().counters().any(|(name, _)| name == "dynamic.batches"));
+        assert_eq!(builds, full_recolors);
+        assert_eq!(builds, 0);
     }
 
     /// Fails its first read with `Interrupted` (a signal landed mid-read), then yields one
