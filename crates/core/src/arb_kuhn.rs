@@ -26,16 +26,16 @@ pub struct ArbRecolorAlgorithm<'a> {
     schedule: &'a RecolorSchedule,
 }
 
-/// Node program of [`ArbRecolorAlgorithm`].
+/// Node program of [`ArbRecolorAlgorithm`]; borrows the shared schedule's steps.
 #[derive(Debug, Clone)]
-pub struct ArbRecolorNode {
+pub struct ArbRecolorNode<'a> {
     parent_ports: Vec<usize>,
-    steps: Vec<RecolorStep>,
+    steps: &'a [RecolorStep],
     color: u64,
     iteration: usize,
 }
 
-impl arbcolor_runtime::node::NodeProgram for ArbRecolorNode {
+impl arbcolor_runtime::node::NodeProgram for ArbRecolorNode<'_> {
     type Msg = u64;
     type Output = u64;
 
@@ -55,23 +55,8 @@ impl arbcolor_runtime::node::NodeProgram for ArbRecolorNode {
         // Only the parents' colors matter for Arb-Recolor.
         let parent_colors: Vec<u64> =
             self.parent_ports.iter().filter_map(|&p| inbox.from_port(p).copied()).collect();
-        let mut best_alpha = 0u64;
-        let mut best = usize::MAX;
-        for alpha in 0..family.q {
-            let own = family.evaluate(self.color, alpha);
-            let collisions = parent_colors
-                .iter()
-                .filter(|&&y| y != self.color && family.evaluate(y, alpha) == own)
-                .count();
-            if collisions < best {
-                best = collisions;
-                best_alpha = alpha;
-                if best == 0 {
-                    break;
-                }
-            }
-        }
-        self.color = family.pair_color(self.color, best_alpha);
+        let alpha = family.least_colliding_alpha(self.color, &parent_colors);
+        self.color = family.pair_color(self.color, alpha);
         self.iteration += 1;
         if self.iteration == self.steps.len() {
             Status::Halted
@@ -87,14 +72,14 @@ impl arbcolor_runtime::node::NodeProgram for ArbRecolorNode {
     }
 }
 
-impl Algorithm for ArbRecolorAlgorithm<'_> {
-    type Node = ArbRecolorNode;
+impl<'a> Algorithm for ArbRecolorAlgorithm<'a> {
+    type Node = ArbRecolorNode<'a>;
 
-    fn node(&self, ctx: &NodeCtx) -> ArbRecolorNode {
+    fn node(&self, ctx: &NodeCtx) -> ArbRecolorNode<'a> {
         let v = ctx.vertex;
         ArbRecolorNode {
             parent_ports: self.orientation.parent_ports(self.graph, v).collect(),
-            steps: self.schedule.steps.clone(),
+            steps: &self.schedule.steps,
             color: self.graph.id(v) - 1,
             iteration: 0,
         }

@@ -105,18 +105,59 @@ impl PolynomialFamily {
     ///
     /// Panics if `color ≥ colors` or `alpha ≥ q`.
     pub fn evaluate(&self, color: u64, alpha: u64) -> u64 {
-        assert!(color < self.colors, "color {color} out of range (< {})", self.colors);
+        self.check_color(color);
         assert!(alpha < self.q, "alpha {alpha} outside the field F_{}", self.q);
-        // Horner evaluation over the base-q digits of `color`, most significant digit first.
-        let mut digits = Vec::with_capacity(self.digits as usize);
-        let mut value = color;
-        for _ in 0..self.digits {
-            digits.push(value % self.q);
-            value /= self.q;
+        self.value_at(color, alpha)
+    }
+
+    /// The smallest `α ∈ F_q` minimizing the number of colors in `others`, copies of `own`
+    /// skipped, whose polynomial agrees with `ϕ_own` at `α` — the choice step of Linial's
+    /// and Kuhn's recoloring and of Procedure Arb-Recolor.  The scan stops at the first `α`
+    /// without a collision.
+    ///
+    /// Allocation-free: the range of every color is checked once, `ϕ_own(α)` is evaluated
+    /// once per `α`, and each other color is evaluated straight from its base-`q` digits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `own` or a color of `others` other than `own` is `≥ colors`.
+    pub fn least_colliding_alpha(&self, own: u64, others: &[u64]) -> u64 {
+        self.check_color(own);
+        for &y in others {
+            if y != own {
+                self.check_color(y);
+            }
         }
-        let mut acc = 0u64;
-        for &digit in digits.iter().rev() {
-            acc = (acc * alpha + digit) % self.q;
+        let (mut best_alpha, mut best_collisions) = (0, usize::MAX);
+        for alpha in 0..self.q {
+            let value = self.value_at(own, alpha);
+            let collisions =
+                others.iter().filter(|&&y| y != own && self.value_at(y, alpha) == value).count();
+            if collisions < best_collisions {
+                (best_alpha, best_collisions) = (alpha, collisions);
+                if collisions == 0 {
+                    break;
+                }
+            }
+        }
+        best_alpha
+    }
+
+    fn check_color(&self, color: u64) {
+        assert!(color < self.colors, "color {color} out of range (< {})", self.colors);
+    }
+
+    /// `ϕ_color(alpha)` without range checks, summing `c_i · α^i` over the base-`q` digits
+    /// `c_i` of `color` from the least significant up.  Every operand is below `q`, and
+    /// `q² ≤ u64::MAX` (see [`new_color_count`](Self::new_color_count)), so nothing
+    /// overflows.
+    fn value_at(&self, color: u64, alpha: u64) -> u64 {
+        let q = self.q;
+        let (mut rest, mut power, mut acc) = (color, 1, 0);
+        while rest > 0 {
+            acc = (acc + rest % q * power) % q;
+            power = power * alpha % q;
+            rest /= q;
         }
         acc
     }
@@ -216,6 +257,70 @@ mod tests {
             );
             assert!(u128::from(family.q).pow(family.digits) >= u128::from(colors));
         }
+    }
+
+    /// The choice step as Linial's recoloring wrote it before `least_colliding_alpha`.
+    fn least_colliding_alpha_by_scan(family: &PolynomialFamily, own: u64, others: &[u64]) -> u64 {
+        let (mut best_alpha, mut best) = (0, usize::MAX);
+        for alpha in 0..family.q {
+            let value = family.evaluate(own, alpha);
+            let collisions =
+                others.iter().filter(|&&y| y != own && family.evaluate(y, alpha) == value).count();
+            if collisions < best {
+                (best_alpha, best) = (alpha, collisions);
+                if collisions == 0 {
+                    break;
+                }
+            }
+        }
+        best_alpha
+    }
+
+    #[test]
+    fn evaluation_matches_horner_over_the_digits() {
+        let family = PolynomialFamily::new(7, 2000);
+        for color in (0..2000).step_by(13) {
+            let digits: Vec<u64> = (0..family.digits).map(|i| color / 7u64.pow(i) % 7).collect();
+            for alpha in 0..7 {
+                let horner = digits.iter().rev().fold(0, |acc, &d| (acc * alpha + d) % 7);
+                assert_eq!(family.evaluate(color, alpha), horner, "color {color} at {alpha}");
+            }
+        }
+    }
+
+    #[test]
+    fn least_colliding_alpha_matches_the_alpha_scan() {
+        // Crowded neighborhoods force collisions (a nonzero minimum); copies of `own` are
+        // skipped however many there are.
+        let family = PolynomialFamily::new(5, 120);
+        let mut state = 17u64;
+        for round in 0..300 {
+            let own = round % 120;
+            let len = (round % 23) as usize;
+            let others: Vec<u64> = (0..len)
+                .map(|i| {
+                    state =
+                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    if i % 7 == 3 {
+                        own
+                    } else {
+                        (state >> 33) % 120
+                    }
+                })
+                .collect();
+            assert_eq!(
+                family.least_colliding_alpha(own, &others),
+                least_colliding_alpha_by_scan(&family, own, &others),
+                "own {own}, others {others:?}"
+            );
+        }
+        assert_eq!(family.least_colliding_alpha(3, &[]), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn least_colliding_alpha_checks_every_other_color() {
+        PolynomialFamily::new(5, 10).least_colliding_alpha(2, &[1, 2, 10]);
     }
 
     #[test]

@@ -102,15 +102,15 @@ impl<'a> RecolorAlgorithm<'a> {
     }
 }
 
-/// Node program of [`RecolorAlgorithm`].
+/// Node program of [`RecolorAlgorithm`]; borrows the shared schedule.
 #[derive(Debug, Clone)]
-pub struct RecolorNode {
-    schedule: RecolorSchedule,
+pub struct RecolorNode<'a> {
+    schedule: &'a RecolorSchedule,
     color: u64,
     iteration: usize,
 }
 
-impl arbcolor_runtime::node::NodeProgram for RecolorNode {
+impl arbcolor_runtime::node::NodeProgram for RecolorNode<'_> {
     type Msg = u64;
     type Output = u64;
 
@@ -126,28 +126,11 @@ impl arbcolor_runtime::node::NodeProgram for RecolorNode {
     }
 
     fn round(&mut self, ctx: &NodeCtx, inbox: &Inbox<'_, u64>, outbox: &mut Outbox<u64>) -> Status {
-        let step = &self.schedule.steps[self.iteration];
-        let family = &step.family;
+        let family = &self.schedule.steps[self.iteration].family;
         let neighbor_colors: Vec<u64> = inbox.iter().map(|(_, &c)| c).collect();
-
         // Pick α minimizing collisions with *differently*-colored neighbors.
-        let mut best_alpha = 0u64;
-        let mut best_collisions = usize::MAX;
-        for alpha in 0..family.q {
-            let own = family.evaluate(self.color, alpha);
-            let collisions = neighbor_colors
-                .iter()
-                .filter(|&&y| y != self.color && family.evaluate(y, alpha) == own)
-                .count();
-            if collisions < best_collisions {
-                best_collisions = collisions;
-                best_alpha = alpha;
-                if collisions == 0 {
-                    break;
-                }
-            }
-        }
-        self.color = family.pair_color(self.color, best_alpha);
+        let alpha = family.least_colliding_alpha(self.color, &neighbor_colors);
+        self.color = family.pair_color(self.color, alpha);
         self.iteration += 1;
         if self.iteration == self.schedule.steps.len() {
             Status::Halted
@@ -163,15 +146,11 @@ impl arbcolor_runtime::node::NodeProgram for RecolorNode {
     }
 }
 
-impl Algorithm for RecolorAlgorithm<'_> {
-    type Node = RecolorNode;
+impl<'a> Algorithm for RecolorAlgorithm<'a> {
+    type Node = RecolorNode<'a>;
 
-    fn node(&self, ctx: &NodeCtx) -> RecolorNode {
-        RecolorNode {
-            schedule: self.schedule.clone(),
-            color: self.initial[ctx.vertex],
-            iteration: 0,
-        }
+    fn node(&self, ctx: &NodeCtx) -> RecolorNode<'a> {
+        RecolorNode { schedule: self.schedule, color: self.initial[ctx.vertex], iteration: 0 }
     }
 
     fn name(&self) -> &'static str {

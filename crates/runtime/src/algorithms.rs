@@ -231,7 +231,6 @@ pub struct ScheduledListColorNode<'a> {
     stats: &'a PaletteStats,
     struck: PaletteSet,
     chosen: Option<u64>,
-    round: usize,
 }
 
 impl ScheduledListColorNode<'_> {
@@ -251,32 +250,34 @@ impl NodeProgram for ScheduledListColorNode<'_> {
     type Output = Option<u64>;
 
     fn init(&mut self, ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
-        self.round = 0;
         if self.slot == 0 {
             if let Some(c) = self.pick() {
                 outbox.broadcast(c);
             }
             Status::Halted
         } else {
-            // `round` counts rounds up to the slot, so the vertex must be stepped every
-            // round, mail or not: self-schedule while active.
-            ctx.wake_next_round();
+            // Act in round `slot` whether or not mail arrives then; rounds before it only
+            // step the vertex when neighbors announce.
+            ctx.wake_in(self.slot);
             Status::Active
         }
     }
 
-    fn round(&mut self, ctx: &NodeCtx, inbox: &Inbox<'_, u64>, outbox: &mut Outbox<u64>) -> Status {
-        self.round += 1;
+    fn round(
+        &mut self,
+        _ctx: &NodeCtx,
+        inbox: &Inbox<'_, u64>,
+        outbox: &mut Outbox<u64>,
+    ) -> Status {
         for (_, &c) in inbox.iter() {
             self.struck.strike(c);
         }
-        if self.round == self.slot {
+        if inbox.round() == self.slot {
             if let Some(c) = self.pick() {
                 outbox.broadcast(c);
             }
             Status::Halted
         } else {
-            ctx.wake_next_round();
             Status::Active
         }
     }
@@ -301,7 +302,6 @@ impl<'a> Algorithm for ScheduledListColor<'a> {
             stats: self.schedule.stats(),
             struck,
             chosen: None,
-            round: 0,
         }
     }
 
@@ -335,7 +335,6 @@ pub struct VecScanListColorNode {
     input: ListColorSlot,
     taken: Vec<u64>,
     chosen: Option<u64>,
-    round: usize,
 }
 
 impl VecScanListColorNode {
@@ -356,30 +355,32 @@ impl NodeProgram for VecScanListColorNode {
     type Output = Option<u64>;
 
     fn init(&mut self, ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
-        self.round = 0;
         if self.input.slot == 0 {
             if let Some(c) = self.pick() {
                 outbox.broadcast(c);
             }
             Status::Halted
         } else {
-            ctx.wake_next_round();
+            ctx.wake_in(self.input.slot);
             Status::Active
         }
     }
 
-    fn round(&mut self, ctx: &NodeCtx, inbox: &Inbox<'_, u64>, outbox: &mut Outbox<u64>) -> Status {
-        self.round += 1;
+    fn round(
+        &mut self,
+        _ctx: &NodeCtx,
+        inbox: &Inbox<'_, u64>,
+        outbox: &mut Outbox<u64>,
+    ) -> Status {
         for (_, &c) in inbox.iter() {
             self.taken.push(c);
         }
-        if self.round == self.input.slot {
+        if inbox.round() == self.input.slot {
             if let Some(c) = self.pick() {
                 outbox.broadcast(c);
             }
             Status::Halted
         } else {
-            ctx.wake_next_round();
             Status::Active
         }
     }
@@ -397,7 +398,6 @@ impl Algorithm for VecScanListColor<'_> {
             input: self.slots[ctx.vertex].clone(),
             taken: Vec::new(),
             chosen: None,
-            round: 0,
         }
     }
 

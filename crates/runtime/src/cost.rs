@@ -14,18 +14,18 @@
 //!   [`RuntimeError::CongestBudgetExceeded`]
 //!   (naming the round, the edge, and the measured width) as soon as any single edge
 //!   carries more than `bits_per_edge` bits in one round.
-//! * `BandwidthMeter` (crate-internal) — the per-arc accumulator all three executors feed
-//!   from their delivery paths, symmetrically, so `total_bits` and `max_edge_bits` in
-//!   [`RoundReport`] are bit-identical across the sequential, the
-//!   work-stealing, and the reference executor.
+//! * `BandwidthMeter` (crate-internal) — the per-arc accumulator both executors feed from
+//!   their delivery paths, keyed by the sender's arc and in sender order, so `total_bits`,
+//!   `max_edge_bits` in [`RoundReport`] and the edge a budget error names are bit-identical
+//!   across the executor at every thread count and the reference executor.
 //!
 //! The process-wide default ([`set_default_cost_mode`]/[`default_cost_mode`]) mirrors
 //! [`set_default_executor`](crate::set_default_executor): freshly constructed executors pick
 //! it up, so one call switches every driver in the workspace into Congest accounting.
 
 use crate::metrics::RoundReport;
-use crate::network::{arc_owner, RuntimeError};
-use arbcolor_graph::Graph;
+use crate::network::RuntimeError;
+use arbcolor_graph::{ArcIdx, Graph, Vertex};
 use std::sync::Mutex;
 
 /// The measured width of a message on the wire, in bits.
@@ -126,8 +126,8 @@ pub(crate) struct RoundBits {
 
 /// Per-arc bit accumulator for one execution.
 ///
-/// All three executors call [`BandwidthMeter::add`] once per delivered message (keyed by the
-/// receiver-side arc, the same index the flat mailboxes use) and
+/// Both executors call [`BandwidthMeter::add`] once per sent message, keyed by the sender-side
+/// arc `arc_range(sender).start + port` and in ascending sender order, and
 /// [`BandwidthMeter::finish_round`] once per round, in the same places, so the accounting is
 /// bit-identical across them.  Clearing is O(messages of the round), not O(arcs).
 pub(crate) struct BandwidthMeter {
@@ -154,7 +154,7 @@ impl BandwidthMeter {
         }
     }
 
-    /// Records `bits` arriving on `arc` (a receiver-side arc index) in the current round.
+    /// Records `bits` sent over `arc` (a sender-side arc index) in the current round.
     #[inline]
     pub(crate) fn add(&mut self, arc: usize, bits: u64) {
         let cell = &mut self.arc_bits[arc];
@@ -199,8 +199,8 @@ impl BandwidthMeter {
                 let arc = self.round_max_arc;
                 return Err(RuntimeError::CongestBudgetExceeded {
                     round,
-                    sender: graph.arc_target(arc),
-                    receiver: arc_owner(graph, arc),
+                    sender: arc_source(graph, arc),
+                    receiver: graph.arc_target(arc),
                     bits: bits.max_edge,
                     budget: bits_per_edge,
                 });
@@ -208,6 +208,21 @@ impl BandwidthMeter {
         }
         Ok(bits)
     }
+}
+
+/// The vertex whose adjacency list holds `arc`, by binary search over the arc ranges (only
+/// a budget error needs it).
+fn arc_source(graph: &Graph, arc: ArcIdx) -> Vertex {
+    let (mut lo, mut hi) = (0, graph.n());
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if graph.arc_range(mid).end <= arc {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 #[cfg(test)]
@@ -282,5 +297,23 @@ mod tests {
         // The report still records what the round put on the wire.
         assert_eq!(report.total_bits, 9);
         assert_eq!(report.max_edge_bits, 9);
+    }
+
+    #[test]
+    fn a_budget_error_names_the_arc_owner_as_sender_and_its_target_as_receiver() {
+        // Isolated vertices 0 and 3 own empty arc ranges, which the owner search must skip.
+        let g = arbcolor_graph::Graph::from_edges(6, [(1, 2), (2, 4), (4, 5), (1, 5)]).unwrap();
+        let budget = CostMode::Congest { bits_per_edge: 1 };
+        for sender in g.vertices() {
+            for (port, arc) in g.arc_range(sender).enumerate() {
+                let mut meter = BandwidthMeter::new(g.num_arcs());
+                meter.add(arc, 2);
+                let err = meter.finish_round(&g, 1, budget, &mut RoundReport::zero()).unwrap_err();
+                let RuntimeError::CongestBudgetExceeded { sender: s, receiver: r, .. } = err else {
+                    panic!("unexpected error {err:?}");
+                };
+                assert_eq!((s, r), (sender, g.neighbors(sender)[port]));
+            }
+        }
     }
 }

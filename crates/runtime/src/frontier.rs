@@ -2,7 +2,8 @@
 //!
 //! The [`Executor`](crate::Executor) drives node programs off a **frontier**: the set of vertices that must act
 //! in the upcoming round because they received a message or explicitly scheduled themselves
-//! with [`NodeCtx::wake_next_round`](crate::NodeCtx::wake_next_round).  A round then costs
+//! with [`NodeCtx::wake_next_round`](crate::NodeCtx::wake_next_round) or
+//! [`NodeCtx::wake_in`](crate::NodeCtx::wake_in).  A round then costs
 //! O(|frontier| + messages) instead of O(n), which is where the late rounds of the
 //! headline algorithms — tiny active sets, most vertices finalized and silent — stop paying
 //! for the vertices that no longer participate.

@@ -15,7 +15,8 @@
 //! * [`Executor`] — runs an algorithm on a graph until every node halts, returning the
 //!   per-vertex outputs and a [`RoundReport`] with round and message counts.  Delivery runs
 //!   on the arc-indexed message fabric (see [`network`]): O(1) mirror-table routing into
-//!   flat one-slot-per-port mailboxes, zero heap allocation per steady-state round.  One
+//!   bitmap one-slot-per-port mailboxes, zero heap allocation and no sort per steady-state
+//!   round.  One
 //!   round loop serves every thread count: each round's frontier is stepped in fixed-size
 //!   chunks that workers claim off a shared iterator and that are committed in chunk order,
 //!   so outputs, rounds, and message counts are bit-identical at any thread count
@@ -24,7 +25,8 @@
 //!   as the bit-identity oracle and the baseline the `routing` benches race against.
 //! * [`frontier`] — the epoch-stamped frontier bitmap and halt bookkeeping behind the
 //!   executor's O(|active|) rounds: delivery marks the receiver, programs self-schedule
-//!   with [`NodeCtx::wake_next_round`], quiescent vertices cost nothing.
+//!   with [`NodeCtx::wake_next_round`] or [`NodeCtx::wake_in`], quiescent vertices cost
+//!   nothing.
 //! * [`shard`] — executor selection: the process-wide [`ExecutorKind`] switch consulted by
 //!   [`run_algorithm`], the default chunk size and sequential cutoff, and the hand-rolled
 //!   [`WorkPool`] the phase drivers use to color disjoint subgraphs in parallel.

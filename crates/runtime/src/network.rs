@@ -3,34 +3,44 @@
 //! # The message fabric
 //!
 //! The LOCAL model charges one round for all messages at once, so the simulator's delivery
-//! path is the hot loop of every experiment.  Three structural facts make it allocation- and
-//! scan-free:
+//! path is the hot loop of every experiment.  Four structural facts keep it allocation- and
+//! sort-free, so a round costs what its messages and its frontier cost:
 //!
-//! 1. **O(1) routing.**  A message leaving `sender` on `port` arrives at the mirror arc
-//!    `graph.mirror_arcs()[arc_range(sender).start + port]` — a single array read
-//!    precomputed by the CSR build, replacing the per-message `port_of` scan of the
-//!    receiver's adjacency list.
-//! 2. **Flat mailboxes.**  Pending messages live in one arc-indexed slot buffer
-//!    (`ArcMailboxes`): slot `a` holds the first message delivered to arc `a` this round,
-//!    a shared spill vector absorbs the rare second message per port, and a fill list
-//!    remembers which slots to clear — so a round performs no per-vertex `Vec` pushes and,
-//!    on the one-message-per-port fast path, no heap allocation at all.
-//! 3. **Order preservation.**  Adjacency lists are sorted, so reading a vertex's slots in
+//! 1. **In-order commit.**  A stepped vertex emits each message with its *sender* arc
+//!    `arc_range(sender).start + port`.  Senders are stepped in ascending order, so the
+//!    commit reads the arc's receiver `arc_target(arc)`, its receiving slot
+//!    `graph.mirror_arcs()[arc]` (one array read precomputed by the CSR build) and its
+//!    bandwidth cell sequentially; only the slot write and the receiver's frontier mark
+//!    land at random.
+//! 2. **Bitmap mailboxes.**  Pending messages live in one arc-indexed slot buffer
+//!    (`ArcMailboxes`) with an occupancy bitmap: slot `a` holds the first message delivered
+//!    to arc `a` this round, and a slot whose bit is clear is stale and never read.  A
+//!    shared spill vector absorbs the rare second message per port, and clearing resets only
+//!    the bitmap words the round touched — so a round performs no per-vertex `Vec` pushes,
+//!    no sort of the deliveries and, on the one-message-per-port fast path, no heap
+//!    allocation at all.
+//! 3. **Order preservation.**  A vertex reads its window by scanning its bits in port
+//!    order, and the sealed spill is stably grouped by arc.  Adjacency lists are sorted, so
 //!    port order equals the sender-index order the old `Vec<Vec<(port, msg)>>` mailboxes
-//!    produced; outputs, rounds, and message counts are bit-identical to the
-//!    [`reference`](crate::reference) executor (enforced by `tests/message_fabric.rs`).
+//!    produced, and same-port messages keep their send order; outputs, rounds, and message
+//!    counts are bit-identical to the [`reference`](crate::reference) executor (enforced by
+//!    `tests/message_fabric.rs`).
+//! 4. **Timed wake-ups.**  [`NodeCtx::wake_in`]`(k)` files the vertex under round `r + k` in
+//!    a map from round to vertices, and the executor marks them into the frontier when that
+//!    round opens.  A slot schedule — one color class per round — then steps each vertex in
+//!    its slot and when mail arrives, not in every round it waits through.
 //!
 //! # Frontier-driven rounds
 //!
 //! On top of the fabric, the executor only steps the **frontier** (see
 //! [`frontier`](crate::frontier)): delivering a message marks the receiver's frontier bit,
-//! and [`NodeCtx::wake_next_round`] marks the caller, so a round walks the sorted frontier
-//! instead of all of `0..n` — O(|frontier| + messages) per round.  Halted vertices can still
-//! be marked by late mail; they are skipped at iteration time (their mailbox window is
-//! consumed and dropped, matching the previous semantics of messages to halted nodes).  The
-//! loop condition, round accounting, and termination check are unchanged, so rounds and
-//! message counts are bit-identical to the everyone-runs executor for any program honoring
-//! the activation contract of [`NodeProgram`].
+//! and [`NodeCtx::wake_next_round`] or a due [`NodeCtx::wake_in`] marks the caller, so a
+//! round walks the sorted frontier instead of all of `0..n` — O(|frontier| + messages) per
+//! round.  Halted vertices can still be marked by late mail; they are skipped at iteration
+//! time (their mail is dropped unread, matching the previous semantics of messages to halted
+//! nodes).  The loop condition, round accounting, and termination check are unchanged, so
+//! rounds and message counts are bit-identical to the everyone-runs executor for any program
+//! honoring the activation contract of [`NodeProgram`].
 //!
 //! # Chunked rounds and the thread count
 //!
@@ -38,13 +48,14 @@
 //! fixed-size chunks of consecutive schedule entries.  A chunk covers a disjoint vertex
 //! range, so it carries its own `&mut` window of the node programs, and the workers of a
 //! [`WorkPool`] claim chunks off one shared iterator.  A worker buffers what a chunk
-//! produces (outgoing `(arc, message)` pairs in vertex-then-port order, halts, wakeups), and
-//! the buffers are committed **in chunk order**: the pending mailboxes then receive messages
-//! in ascending sender order, spill arrival included, whoever stepped which chunk.  The join at the end
-//! of each step is the round barrier, so no message of round `r` is observable before round
-//! `r + 1`.  Scheduling therefore decides *who* computes, never *what* is computed: every
-//! thread count and chunk size yields the same outputs, rounds, messages and bits
-//! (`tests/sharded_executor.rs` and the CI cross-executor diff enforce this).
+//! produces (outgoing `(sender arc, message)` pairs in vertex-then-port order, halts,
+//! wake-ups), and the buffers are committed **in chunk order**: the pending mailboxes then
+//! receive messages in ascending sender order, spill arrival included, whoever stepped which
+//! chunk.  The join at the end of each step is the round barrier, so no message of round
+//! `r` is observable before round `r + 1`.  Scheduling therefore decides *who* computes,
+//! never *what* is computed: every thread count and chunk size yields the same outputs,
+//! rounds, messages and bits (`tests/sharded_executor.rs` and the CI cross-executor diff
+//! enforce this).
 //!
 //! With one worker — the default, and every graph at or below the
 //! [sequential cutoff](Executor::with_sequential_cutoff) — the same loop runs inline on the
@@ -79,6 +90,7 @@ use crate::obs;
 use crate::shard::{default_chunk_size, default_sequential_cutoff, WorkPool};
 use crate::trace::{RoundTrace, TraceConfig, TraceRecorder};
 use arbcolor_graph::{ArcIdx, Graph, Vertex};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -324,22 +336,23 @@ impl<'g> Executor<'g> {
             workers: if n <= self.sequential_cutoff { 1 } else { self.threads },
             chunk_size: self.chunk_size,
         };
-        // The double-buffered flat mailboxes (one slot per arc): after the warm-up fills, a
+        // The double-buffered bitmap mailboxes (one slot per arc): after the warm-up fills, a
         // round performs no heap allocation on the one-message-per-port fast path.
         let mut inboxes = ArcMailboxes::new(graph.num_arcs());
         let mut round = RoundSink {
             pending: ArcMailboxes::new(graph.num_arcs()),
             frontier: Frontier::new(n),
+            timers: BTreeMap::new(),
             meter: BandwidthMeter::new(graph.num_arcs()),
             halted: Vec::new(),
             messages: 0,
             stepped: 0,
         };
 
-        // Initialization: local computation plus the sends of the first round.  `init` runs
-        // for every vertex; from here on only the frontier is stepped.
+        // Initialization (round 0): local computation plus the sends of the first round.
+        // `init` runs for every vertex; from here on only the frontier is stepped.
         let mut schedule: Vec<Vertex> = (0..n).collect();
-        stepper.step(&mut nodes, &schedule, &inboxes, true, &mut active, &mut round);
+        stepper.step(&mut nodes, &schedule, &inboxes, 0, &mut active, &mut round);
         report.messages += round.messages;
         // Delivery-side trace attribution: round `r` records the messages and bits it
         // *delivers* (sent in round `r − 1`; round 1 carries the `init` sends), so the
@@ -360,11 +373,11 @@ impl<'g> Executor<'g> {
             std::mem::swap(&mut round.pending, &mut inboxes);
             round.pending.clear();
             inboxes.seal();
-            round.frontier.take(&mut schedule);
+            round.open(report.rounds, &mut schedule);
 
             let round_started = trace.as_ref().map(|_| std::time::Instant::now());
             let active_at_start = active.count();
-            stepper.step(&mut nodes, &schedule, &inboxes, false, &mut active, &mut round);
+            stepper.step(&mut nodes, &schedule, &inboxes, report.rounds, &mut active, &mut round);
             report.messages += round.messages;
             let round_bits =
                 round.meter.finish_round(graph, report.rounds + 1, self.cost_mode, &mut report)?;
@@ -423,33 +436,42 @@ struct Chunk<'a, N> {
 }
 
 /// Everything one chunk produced, buffered for an in-order commit: outgoing
-/// `(receiver arc, message)` pairs in vertex-then-port order (the arc pins both the receiving
-/// vertex and its port), plus the vertices that halted or scheduled a wakeup.
+/// `(sender arc, message)` pairs in vertex-then-port order (the arc pins both the sending
+/// vertex and its port), plus the vertices that halted or requested a wake-up.
 struct ChunkOut<M> {
     outgoing: Vec<(ArcIdx, M)>,
     halts: Vec<Vertex>,
+    /// Vertices to step next round ([`NodeCtx::wake_next_round`]).
     wakeups: Vec<Vertex>,
+    /// `(due round, vertex)` of the later wake-ups ([`NodeCtx::wake_in`] beyond one round).
+    timers: Vec<(usize, Vertex)>,
     /// Vertices actually stepped (the chunk's share of the round frontier).
     stepped: usize,
 }
 
 impl<M> Default for ChunkOut<M> {
     fn default() -> Self {
-        ChunkOut { outgoing: Vec::new(), halts: Vec::new(), wakeups: Vec::new(), stepped: 0 }
+        ChunkOut {
+            outgoing: Vec::new(),
+            halts: Vec::new(),
+            wakeups: Vec::new(),
+            timers: Vec::new(),
+            stepped: 0,
+        }
     }
 }
 
 impl Stepper<'_> {
-    /// Runs `init` (when `init` is set) or `round` for every active vertex of `schedule`
-    /// (ascending, duplicate-free), commits the chunks to `sink` in chunk order, then applies
-    /// the step's halts to `active` (each vertex is stepped at most once per step, so no
-    /// vertex can observe a halt of the same step).
+    /// Runs `init` (round 0) or `round` for every active vertex of `schedule` (ascending,
+    /// duplicate-free), commits the chunks to `sink` in chunk order, then applies the step's
+    /// halts to `active` (each vertex is stepped at most once per step, so no vertex can
+    /// observe a halt of the same step).
     fn step<N>(
         &self,
         nodes: &mut [N],
         schedule: &[Vertex],
         mail: &ArcMailboxes<N::Msg>,
-        init: bool,
+        round: usize,
         active: &mut ActiveSet,
         sink: &mut RoundSink<N::Msg>,
     ) where
@@ -465,13 +487,13 @@ impl Stepper<'_> {
         if workers <= 1 {
             let (mut outbox, mut out) = (Outbox::new(0), ChunkOut::default());
             for chunk in chunks {
-                self.step_chunk(chunk, mail, init, alive, &mut outbox, &mut out);
+                self.step_chunk(chunk, mail, round, alive, &mut outbox, &mut out);
                 sink.commit(self.graph, &mut out);
             }
         } else {
             let outs = WorkPool::new(workers).map(chunks.collect(), |_, chunk| {
                 let mut out = ChunkOut::default();
-                self.step_chunk(chunk, mail, init, alive, &mut Outbox::new(0), &mut out);
+                self.step_chunk(chunk, mail, round, alive, &mut Outbox::new(0), &mut out);
                 out
             });
             for mut out in outs {
@@ -483,46 +505,44 @@ impl Stepper<'_> {
         }
     }
 
-    /// Steps one chunk into `out`, reading its mail through one cursor positioned at the
-    /// chunk's first vertex.
+    /// Steps one chunk of round `round` (0 = `init`) into `out`.
     fn step_chunk<N: NodeProgram>(
         &self,
         chunk: Chunk<'_, N>,
         mail: &ArcMailboxes<N::Msg>,
-        init: bool,
+        round: usize,
         active: &ActiveSet,
         outbox: &mut Outbox<N::Msg>,
         out: &mut ChunkOut<N::Msg>,
     ) {
-        let graph = self.graph;
-        let mirror = graph.mirror_arcs();
-        let mut cursor = MailboxCursor::at(mail, graph.arc_range(chunk.first).start);
         for &v in chunk.vertices {
-            let arcs = graph.arc_range(v);
-            let first_arc = arcs.start;
-            let window = cursor.advance(mail, arcs.end);
             if !active.is_active(v) {
-                // Mail to a halted vertex: consume the window, drop the messages (they were
-                // counted at send time).
+                // Mail to a halted vertex is dropped unread (it was counted at send time).
                 continue;
             }
             out.stepped += 1;
+            let arcs = self.graph.arc_range(v);
+            let first_arc = arcs.start;
             let ctx = &self.contexts[v];
             let node = &mut chunk.nodes[v - chunk.first];
             outbox.reset(ctx.degree);
-            let status = if init {
+            let status = if round == 0 {
                 node.init(ctx, outbox)
             } else {
-                node.round(ctx, &mail.read(window, arcs), outbox)
+                node.round(ctx, &mail.read(arcs, round), outbox)
             };
-            let woke = ctx.take_wake();
+            let wake = ctx.take_wake();
             if status == Status::Halted {
                 out.halts.push(v);
-            } else if woke {
-                out.wakeups.push(v);
+            } else if let Some(rounds) = wake {
+                if rounds == 1 {
+                    out.wakeups.push(v);
+                } else {
+                    out.timers.push((round.saturating_add(rounds), v));
+                }
             }
             for (port, message) in outbox.drain() {
-                out.outgoing.push((mirror[first_arc + port], message));
+                out.outgoing.push((first_arc + port, message));
             }
         }
     }
@@ -551,8 +571,11 @@ fn deal_chunks<'a, N>(
 struct RoundSink<M> {
     /// The mailboxes the next round reads.
     pending: ArcMailboxes<M>,
-    /// The next round's schedule: every receiver and every self-scheduled wakeup.
+    /// The next round's schedule: every receiver and every next-round wake-up.
     frontier: Frontier,
+    /// Later wake-ups by due round; [`RoundSink::open`] moves a round's entry into the
+    /// frontier when that round opens.
+    timers: BTreeMap<usize, Vec<Vertex>>,
     meter: BandwidthMeter,
     /// Vertices that halted in the current step, ascending.
     halted: Vec<Vertex>,
@@ -563,21 +586,38 @@ struct RoundSink<M> {
 }
 
 impl<M: MessageCost> RoundSink<M> {
-    /// Commits one chunk and empties `out` for reuse: pushes its messages into the pending
-    /// mailboxes, charges each message's measured width to its arc, marks every receiver and
-    /// wakeup in the frontier, and records the halts.
+    /// Commits one chunk and empties `out` for reuse: charges each message's measured width
+    /// to its sender arc, marks the receiver (the arc's target) in the frontier and pushes
+    /// the message into the receiver's mirror slot; then files the wake-ups and records the
+    /// halts.  The arcs arrive in ascending order, so `mirror[arc]` and `arc_target(arc)`
+    /// are sequential reads; only the slot push and the frontier mark scatter.
     fn commit(&mut self, graph: &Graph, out: &mut ChunkOut<M>) {
+        let mirror = graph.mirror_arcs();
         self.messages += out.outgoing.len();
         self.stepped += std::mem::take(&mut out.stepped);
         for (arc, message) in out.outgoing.drain(..) {
             self.meter.add(arc, message.encoded_bits());
-            self.pending.push(arc, message);
-            self.frontier.mark(arc_owner(graph, arc));
+            self.frontier.mark(graph.arc_target(arc));
+            self.pending.push(mirror[arc], message);
         }
         for v in out.wakeups.drain(..) {
             self.frontier.mark(v);
         }
+        for (due, v) in out.timers.drain(..) {
+            self.timers.entry(due).or_default().push(v);
+        }
         self.halted.append(&mut out.halts);
+    }
+
+    /// Opens round `round`: marks the wake-ups due in it, then moves the frontier into
+    /// `schedule` in ascending vertex order.
+    fn open(&mut self, round: usize, schedule: &mut Vec<Vertex>) {
+        if let Some(due) = self.timers.remove(&round) {
+            for v in due {
+                self.frontier.mark(v);
+            }
+        }
+        self.frontier.take(schedule);
     }
 }
 
@@ -606,23 +646,20 @@ pub(crate) fn node_ctx(graph: &Graph, v: usize, id_space: u64, id_table: &Arc<[u
     )
 }
 
-/// The vertex owning arc `a` (the *receiver* of a message pushed to slot `a`): arcs come in
-/// mirror pairs, so the owner of `a` is the target of its mirror.
-#[inline]
-pub(crate) fn arc_owner(graph: &Graph, arc: usize) -> Vertex {
-    graph.arc_target(graph.mirror_arcs()[arc])
-}
-
-/// The flat arc-indexed mailbox buffer of one executor side (pending or inbox).
+/// The bitmap mailboxes of one executor side (pending or inbox).
 ///
-/// `slots[a]` holds the first message delivered to arc `a` in the current round; additional
-/// messages to the same arc overflow into `spill` in arrival order.  `filled` lists the
-/// occupied arcs so clearing is O(messages), not O(arcs).
+/// `slots[a]` holds the first message delivered to arc `a` in the current round, and bit
+/// `a % 64` of `bits[a / 64]` says whether it does: a slot whose bit is clear is stale and
+/// is never read.  Further messages to the same arc overflow into `spill` in arrival order.
+/// `touched` lists the bitmap words set since the last clear, so clearing costs
+/// O(messages), not O(arcs).
 pub(crate) struct ArcMailboxes<M> {
-    /// First (usually only) message per arc this round.
+    /// First (usually only) message per arc this round; current only while its bit is set.
     slots: Vec<Option<M>>,
-    /// Occupied arc indices in fill order; sorted ascending by [`ArcMailboxes::seal`].
-    filled: Vec<usize>,
+    /// Arc occupancy bitmap.
+    bits: Vec<u64>,
+    /// Indices of the nonzero words of `bits`.
+    touched: Vec<usize>,
     /// Overflow messages as `(arc, message)`, arrival order; stably sorted by arc by
     /// [`ArcMailboxes::seal`].
     spill: Vec<(usize, M)>,
@@ -633,7 +670,8 @@ impl<M> ArcMailboxes<M> {
     pub(crate) fn new(num_arcs: usize) -> Self {
         ArcMailboxes {
             slots: (0..num_arcs).map(|_| None).collect(),
-            filled: Vec::new(),
+            bits: vec![0; num_arcs.div_ceil(64)],
+            touched: Vec::new(),
             spill: Vec::new(),
         }
     }
@@ -641,81 +679,55 @@ impl<M> ArcMailboxes<M> {
     /// Delivers `message` to `arc`.
     #[inline]
     pub(crate) fn push(&mut self, arc: usize, message: M) {
-        let slot = &mut self.slots[arc];
-        if slot.is_none() {
-            *slot = Some(message);
-            self.filled.push(arc);
+        let word = &mut self.bits[arc / 64];
+        let bit = 1u64 << (arc % 64);
+        if *word & bit == 0 {
+            if *word == 0 {
+                self.touched.push(arc / 64);
+            }
+            *word |= bit;
+            self.slots[arc] = Some(message);
         } else {
             self.spill.push((arc, message));
         }
     }
 
-    /// Prepares the buffer for reading: sorts the fill list (port order = sender order, see
-    /// the module docs) and stably groups the spill by arc, preserving send order within an
-    /// arc.
+    /// Prepares the buffer for reading: stably groups the spill by arc, keeping send order
+    /// within an arc.  The slots need no ordering: a vertex reads its bits in port order.
     pub(crate) fn seal(&mut self) {
-        self.filled.sort_unstable();
-        if !self.spill.is_empty() {
+        if self.spill.len() > 1 {
             self.spill.sort_by_key(|&(arc, _)| arc);
         }
     }
 
-    /// Empties the buffer in O(messages), retaining all capacity.
+    /// Empties the buffer in O(messages), retaining all capacity.  Only the touched bitmap
+    /// words are reset; the slots behind them go stale and are dropped here only if `M`
+    /// needs dropping (otherwise the next push to the arc overwrites them).
     pub(crate) fn clear(&mut self) {
-        for &arc in &self.filled {
-            self.slots[arc] = None;
+        for &w in &self.touched {
+            if std::mem::needs_drop::<M>() {
+                let mut word = self.bits[w];
+                while word != 0 {
+                    self.slots[w * 64 + word.trailing_zeros() as usize] = None;
+                    word &= word - 1;
+                }
+            }
+            self.bits[w] = 0;
         }
-        self.filled.clear();
+        self.touched.clear();
         self.spill.clear();
     }
 
-    /// The inbox of the vertex owning `arcs`, given its `window` from a [`MailboxCursor`].
-    pub(crate) fn read(&self, window: MailboxWindow, arcs: std::ops::Range<usize>) -> Inbox<'_, M> {
-        Inbox::from_slots(
-            &self.slots[arcs.clone()],
-            &self.filled[window.filled],
-            &self.spill[window.spill],
-            arcs.start,
-        )
-    }
-}
-
-/// Sub-ranges of a sealed [`ArcMailboxes`]'s fill and spill lists belonging to one vertex.
-#[derive(Debug, Clone)]
-pub(crate) struct MailboxWindow {
-    filled: std::ops::Range<usize>,
-    spill: std::ops::Range<usize>,
-}
-
-/// Walks a sealed [`ArcMailboxes`] in ascending vertex order, handing each vertex its
-/// [`MailboxWindow`] in O(messages for that vertex) amortized.
-pub(crate) struct MailboxCursor {
-    filled_pos: usize,
-    spill_pos: usize,
-}
-
-impl MailboxCursor {
-    /// A cursor at the first entry with arc `>= arc_start`, found by binary search — so a
-    /// chunk of any frontier can start its walk without a cursor walk from arc 0.
-    pub(crate) fn at<M>(mail: &ArcMailboxes<M>, arc_start: usize) -> Self {
-        MailboxCursor {
-            filled_pos: mail.filled.partition_point(|&a| a < arc_start),
-            spill_pos: mail.spill.partition_point(|&(a, _)| a < arc_start),
-        }
-    }
-
-    /// Consumes all fill/spill entries with arc `< arc_end` (the current vertex's arcs;
-    /// callers must advance vertices in ascending order).
-    pub(crate) fn advance<M>(&mut self, mail: &ArcMailboxes<M>, arc_end: usize) -> MailboxWindow {
-        let filled_start = self.filled_pos;
-        while self.filled_pos < mail.filled.len() && mail.filled[self.filled_pos] < arc_end {
-            self.filled_pos += 1;
-        }
-        let spill_start = self.spill_pos;
-        while self.spill_pos < mail.spill.len() && mail.spill[self.spill_pos].0 < arc_end {
-            self.spill_pos += 1;
-        }
-        MailboxWindow { filled: filled_start..self.filled_pos, spill: spill_start..self.spill_pos }
+    /// The inbox of round `round` for the vertex owning `arcs`.
+    pub(crate) fn read(&self, arcs: std::ops::Range<usize>, round: usize) -> Inbox<'_, M> {
+        let spill = if self.spill.is_empty() {
+            &self.spill[..]
+        } else {
+            let from = self.spill.partition_point(|&(a, _)| a < arcs.start);
+            let to = from + self.spill[from..].partition_point(|&(a, _)| a < arcs.end);
+            &self.spill[from..to]
+        };
+        Inbox::from_bitmap(&self.slots, &self.bits, spill, arcs, round)
     }
 }
 
@@ -842,5 +854,176 @@ mod tests {
             );
             assert_eq!(result.outputs[0], vec![(0, id(1) * 10), (0, id(1) * 10 + 1)]);
         }
+    }
+
+    /// The reference executor plus the executor at threads {1, 2, 4} × chunk {1, 4096}.
+    fn every_executor_agrees<A>(g: &Graph, algorithm: &A)
+    where
+        A: Algorithm + Sync,
+        A::Node: Send,
+        <A::Node as NodeProgram>::Msg: Send + Sync,
+        <A::Node as NodeProgram>::Output: Send + PartialEq + fmt::Debug,
+    {
+        let expected = crate::ReferenceExecutor::new(g).run(algorithm).unwrap();
+        for threads in [1usize, 2, 4] {
+            for chunk_size in [1usize, 4096] {
+                let executor = Executor::new(g)
+                    .with_threads(threads)
+                    .with_chunk_size(chunk_size)
+                    .with_sequential_cutoff(0);
+                let result = executor.run(algorithm).unwrap();
+                assert_eq!(result.outputs, expected.outputs, "{executor:?}");
+                assert_eq!(result.report, expected.report, "{executor:?}");
+            }
+        }
+    }
+
+    /// Mixes mail with timed wake-ups: every vertex sends on most ports, twice on its first
+    /// and last port (the spill path), and wakes itself 1–4 rounds ahead; whenever it acts it
+    /// logs its round, its inbox length, its port-0 message and the whole inbox.  Steps with
+    /// an empty inbox before the due round are no-ops, as the activation contract requires.
+    #[derive(Debug, Clone, Copy)]
+    struct MixedMail;
+
+    /// One logged step: round, inbox length, port-0 message, the whole inbox.
+    type Step = (usize, usize, Option<u64>, Vec<(usize, u64)>);
+
+    #[derive(Debug, Clone)]
+    struct MixedMailNode {
+        due: usize,
+        log: Vec<Step>,
+    }
+
+    impl MixedMailNode {
+        const STOP: usize = 7;
+
+        fn send(ctx: &NodeCtx, round: usize, outbox: &mut Outbox<u64>) {
+            for port in 0..ctx.degree {
+                if (ctx.id as usize + round + port) % 3 != 0 {
+                    outbox.send(port, ctx.id * 1000 + round as u64);
+                }
+            }
+            if ctx.degree > 0 {
+                outbox.send(0, ctx.id * 1000 + 999);
+                outbox.send(ctx.degree - 1, ctx.id * 1000 + 998);
+            }
+        }
+    }
+
+    impl NodeProgram for MixedMailNode {
+        type Msg = u64;
+        type Output = Vec<Step>;
+
+        fn init(&mut self, ctx: &NodeCtx, outbox: &mut Outbox<u64>) -> Status {
+            self.due = 1 + ctx.id as usize % 4;
+            ctx.wake_in(self.due);
+            Self::send(ctx, 0, outbox);
+            Status::Active
+        }
+
+        fn round(
+            &mut self,
+            ctx: &NodeCtx,
+            inbox: &Inbox<'_, u64>,
+            outbox: &mut Outbox<u64>,
+        ) -> Status {
+            let round = inbox.round();
+            if inbox.is_empty() && round != self.due {
+                return Status::Active;
+            }
+            let messages = inbox.iter().map(|(p, &m)| (p, m)).collect();
+            self.log.push((round, inbox.len(), inbox.from_port(0).copied(), messages));
+            if round >= Self::STOP {
+                return Status::Halted;
+            }
+            if round == self.due {
+                self.due = round + 1 + (ctx.id as usize + round) % 3;
+                ctx.wake_in(self.due - round);
+                Self::send(ctx, round, outbox);
+            }
+            Status::Active
+        }
+
+        fn output(&self, _ctx: &NodeCtx) -> Self::Output {
+            self.log.clone()
+        }
+    }
+
+    impl Algorithm for MixedMail {
+        type Node = MixedMailNode;
+
+        fn node(&self, _ctx: &NodeCtx) -> MixedMailNode {
+            MixedMailNode { due: 0, log: Vec::new() }
+        }
+    }
+
+    #[test]
+    fn mail_mixed_with_timed_wake_ups_agrees_on_every_executor() {
+        // A 130-leaf star puts a degree-130 window across three bitmap words; the random
+        // graph's windows start and end at every offset within a word.
+        let star = generators::star(131).unwrap().with_shuffled_ids(5);
+        let hub = (0..star.n()).max_by_key(|&v| star.degree(v)).unwrap();
+        assert_eq!(star.degree(hub), 130);
+        let result = Executor::new(&star).run(&MixedMail).unwrap();
+        assert!(result.outputs[hub].iter().any(|&(_, len, _, _)| len > 130), "spill past 64 ports");
+        for g in [star, generators::gnp(120, 0.08, 3).unwrap().with_shuffled_ids(7)] {
+            every_executor_agrees(&g, &MixedMail);
+        }
+    }
+
+    #[test]
+    fn timed_wake_ups_step_a_silent_vertex_only_when_due() {
+        // Isolated vertices get no mail, so they act exactly on their wake-up rounds.
+        let g = Graph::empty(4);
+        let (result, trace) = Executor::new(&g).run_traced(&MixedMail).unwrap();
+        for v in g.vertices() {
+            let rounds: Vec<usize> = result.outputs[v].iter().map(|entry| entry.0).collect();
+            let mut due = 1 + g.id(v) as usize % 4;
+            let mut expected = Vec::new();
+            while due < MixedMailNode::STOP {
+                expected.push(due);
+                due += 1 + (g.id(v) as usize + due) % 3;
+            }
+            expected.push(due);
+            assert_eq!(rounds, expected, "vertex {v}");
+        }
+        let stepped: usize = trace.rounds().iter().map(|r| r.frontier).sum();
+        assert_eq!(stepped, result.outputs.iter().map(Vec::len).sum::<usize>());
+        every_executor_agrees(&g, &MixedMail);
+    }
+
+    #[test]
+    fn bitmap_mailboxes_clear_touched_words_and_ignore_stale_slots() {
+        let mut mail: ArcMailboxes<String> = ArcMailboxes::new(200);
+        for (arc, text) in [(63, "a"), (64, "b"), (64, "c"), (199, "d"), (0, "e"), (63, "f")] {
+            mail.push(arc, text.to_string());
+        }
+        mail.seal();
+        let read = |mail: &ArcMailboxes<String>, arcs: std::ops::Range<usize>| {
+            let inbox = mail.read(arcs, 1);
+            (inbox.len(), inbox.iter().map(|(p, m)| (p, m.clone())).collect::<Vec<_>>())
+        };
+        let owned = |pairs: &[(usize, &str)]| {
+            pairs.iter().map(|&(p, m)| (p, m.to_string())).collect::<Vec<_>>()
+        };
+        assert_eq!(read(&mail, 60..70), (4, owned(&[(3, "a"), (3, "f"), (4, "b"), (4, "c")])));
+        assert_eq!(read(&mail, 0..1), (1, owned(&[(0, "e")])));
+        assert_eq!(read(&mail, 128..200), (1, owned(&[(71, "d")])));
+        assert_eq!(mail.touched.len(), 3);
+        mail.clear();
+        assert!(mail.bits.iter().all(|&w| w == 0) && mail.touched.is_empty());
+        assert!(mail.slots.iter().all(Option::is_none), "String slots are dropped on clear");
+        assert_eq!(read(&mail, 0..200), (0, Vec::new()));
+
+        // Copy messages leave stale slots behind, which the cleared bits hide.
+        let mut mail: ArcMailboxes<u64> = ArcMailboxes::new(10);
+        mail.push(5, 50);
+        mail.clear();
+        assert_eq!(mail.slots[5], Some(50), "a stale u64 slot is left for the next push");
+        mail.push(6, 60);
+        mail.seal();
+        let inbox = mail.read(4..8, 2);
+        assert_eq!(inbox.iter().collect::<Vec<_>>(), vec![(2, &60)]);
+        assert_eq!((inbox.len(), inbox.from_port(1), inbox.from_port(2)), (1, None, Some(&60)));
     }
 }

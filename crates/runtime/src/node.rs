@@ -2,7 +2,7 @@
 
 use arbcolor_graph::Vertex;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The neighbor identifiers of one vertex, as a view into a graph-wide CSR-shaped table.
@@ -86,11 +86,14 @@ pub struct NodeCtx {
     /// Identifiers of the neighbors, indexed by port (position in the adjacency list).
     /// Backed by one table shared across all contexts of an execution.
     pub neighbor_ids: NeighborIds,
-    /// Set by [`NodeCtx::wake_next_round`], drained by the executors after every `init`/
-    /// `round` call.  Atomic (not `Cell`) so contexts can be shared across the executor's
-    /// worker threads.
-    wake: AtomicBool,
+    /// The earliest wake-up offset requested by [`NodeCtx::wake_in`] during the current
+    /// `init`/`round` call ([`NO_WAKE`] if none), drained by the executors after every call.
+    /// Atomic (not `Cell`) so contexts can be shared across the executor's worker threads.
+    wake: AtomicUsize,
 }
+
+/// The value of [`NodeCtx`]'s wake field when no wake-up is pending.
+const NO_WAKE: usize = usize::MAX;
 
 impl NodeCtx {
     /// Assembles a context from its public fields (the executors and hand-rolled test
@@ -103,7 +106,7 @@ impl NodeCtx {
         degree: usize,
         neighbor_ids: NeighborIds,
     ) -> Self {
-        NodeCtx { vertex, id, n, id_space, degree, neighbor_ids, wake: AtomicBool::new(false) }
+        NodeCtx { vertex, id, n, id_space, degree, neighbor_ids, wake: AtomicUsize::new(NO_WAKE) }
     }
 
     /// The port of the neighbor with identifier `id`, if any.
@@ -111,22 +114,44 @@ impl NodeCtx {
         self.neighbor_ids.iter().position(|&x| x == id)
     }
 
-    /// Schedules this vertex to act in the next round even if no message arrives.
+    /// Schedules this vertex to act in the next round even if no message arrives; the same
+    /// as [`wake_in(1)`](Self::wake_in).
     ///
     /// The executors only invoke [`NodeProgram::round`] for vertices with pending mail or a
-    /// wakeup (see the trait docs for the activation contract).  Programs that progress on
-    /// an internal counter or phase machine — anything that must act on an empty inbox —
+    /// due wake-up (see the trait docs for the activation contract).  Programs that progress
+    /// on an internal counter or phase machine — anything that must act on an empty inbox —
     /// call this from every `init`/`round` invocation after which they still want to run.
-    /// The flag is consumed by the executor after each invocation, so a wakeup covers
-    /// exactly one round.  Calling it from a `round` that returns [`Status::Halted`] has no
-    /// effect.
+    /// A wake-up covers exactly one round.  Calling it from a `round` that returns
+    /// [`Status::Halted`] has no effect.
     pub fn wake_next_round(&self) {
-        self.wake.store(true, Ordering::Relaxed);
+        self.wake_in(1);
     }
 
-    /// Consumes the wakeup flag set during the preceding `init`/`round` call.
-    pub(crate) fn take_wake(&self) -> bool {
-        self.wake.swap(false, Ordering::Relaxed)
+    /// Schedules this vertex to act `rounds` rounds from now even if no message arrives:
+    /// called during round `r` (`init` is round 0), it makes the vertex act in round
+    /// `r + rounds`, whose [`Inbox::round`] reports that number.  Rounds in between only
+    /// step the vertex if mail arrives.
+    ///
+    /// A slot schedule — act once, in round `slot` — is "`ctx.wake_in(slot)` in `init`,
+    /// act when `inbox.round() == slot`", and costs the executor nothing for the rounds
+    /// the vertex waits through.  If one invocation requests several wake-ups, only the
+    /// earliest is kept; the vertex can request the next one when it runs.  A wake-up
+    /// requested in an invocation that returns [`Status::Halted`] has no effect.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rounds == 0` (a vertex cannot act again in the round it is running).
+    pub fn wake_in(&self, rounds: usize) {
+        assert!(rounds >= 1, "a wake-up must lie at least one round ahead");
+        self.wake.fetch_min(rounds, Ordering::Relaxed);
+    }
+
+    /// Consumes the wake-up offset requested during the preceding `init`/`round` call.
+    pub(crate) fn take_wake(&self) -> Option<usize> {
+        match self.wake.swap(NO_WAKE, Ordering::Relaxed) {
+            NO_WAKE => None,
+            rounds => Some(rounds),
+        }
     }
 }
 
@@ -139,7 +164,7 @@ impl Clone for NodeCtx {
             id_space: self.id_space,
             degree: self.degree,
             neighbor_ids: self.neighbor_ids.clone(),
-            wake: AtomicBool::new(self.wake.load(Ordering::Relaxed)),
+            wake: AtomicUsize::new(self.wake.load(Ordering::Relaxed)),
         }
     }
 }
@@ -154,18 +179,18 @@ pub enum Status {
     Halted,
 }
 
-/// Messages delivered to a node at the start of a round.
+/// Messages delivered to a node at the start of a round, plus the round's number.
 ///
 /// Logically a sequence of `(port, message)` pairs, where `port` is the receiving vertex's
 /// port towards the sender.  Two physical representations exist: a plain pair slice
-/// ([`Inbox::new`], used by the reference executor and tests) and the flat arc-indexed slot
-/// view of the zero-allocation message fabric (`Inbox::from_slots`).  Iteration order is
-/// identical in both: ports ascending — which equals sender-index ascending, because
-/// adjacency lists are sorted — with multiple messages from the same port kept in send
-/// order.
+/// ([`Inbox::new`], used by the reference executor and tests) and the vertex's window of the
+/// executor's bitmap mailboxes (`Inbox::from_bitmap`).  Iteration order is identical in
+/// both: ports ascending — which equals sender-index ascending, because adjacency lists are
+/// sorted — with multiple messages from the same port kept in send order.
 #[derive(Debug)]
 pub struct Inbox<'a, M> {
     repr: InboxRepr<'a, M>,
+    round: usize,
 }
 
 /// Physical layout of an [`Inbox`].
@@ -173,41 +198,61 @@ pub struct Inbox<'a, M> {
 enum InboxRepr<'a, M> {
     /// `(port, message)` pairs in delivery order.
     Pairs(&'a [(usize, M)]),
-    /// Arc-indexed slots of the flat message fabric.
-    Slots {
-        /// This vertex's slot window, indexed by port; `Some` holds the first (usually
-        /// only) message delivered to that port this round.
+    /// One vertex's window of the bitmap mailboxes.
+    Bitmap {
+        /// The fabric's slots, indexed by arc; a slot is current only while its bit is set.
         slots: &'a [Option<M>],
-        /// Occupied arcs of this vertex, ascending (a sub-slice of the round's sorted
-        /// fill list).
-        filled: &'a [usize],
-        /// Overflow `(arc, message)` pairs for ports that received more than one message,
-        /// sorted by arc with send order preserved within an arc.
+        /// The fabric's arc occupancy bitmap (bit `a % 64` of word `a / 64` ⇔ arc `a`).
+        bits: &'a [u64],
+        /// Overflow `(arc, message)` pairs of this vertex's arcs, sorted by arc with send
+        /// order kept within an arc.
         spill: &'a [(usize, M)],
-        /// The vertex's first arc index; `port = arc - base`.
-        base: usize,
+        /// This vertex's arcs are `start..end`; `port = arc - start`.
+        start: usize,
+        end: usize,
     },
 }
 
 impl<'a, M> Inbox<'a, M> {
-    /// Wraps a slice of `(port, message)` pairs.
+    /// Wraps a slice of `(port, message)` pairs, at round 0 until [`with_round`](Self::with_round)
+    /// sets it.
     ///
-    /// This representation is deliberately kept alive alongside the flat-slot one: the
+    /// This representation is deliberately kept alive alongside the bitmap one: the
     /// [`ReferenceExecutor`](crate::ReferenceExecutor) oracle must share no fabric code with
     /// the executors it checks, so it builds its inboxes from plain per-vertex pair vectors
     /// through this constructor (as do hand-rolled node-program tests).
     pub fn new(messages: &'a [(usize, M)]) -> Self {
-        Inbox { repr: InboxRepr::Pairs(messages) }
+        Inbox { repr: InboxRepr::Pairs(messages), round: 0 }
     }
 
-    /// Wraps one vertex's window of the flat arc-indexed fabric (see the type docs).
-    pub(crate) fn from_slots(
+    /// Sets the round number [`round`](Self::round) reports.
+    #[must_use]
+    pub fn with_round(mut self, round: usize) -> Self {
+        self.round = round;
+        self
+    }
+
+    /// Wraps the window `arcs` of the bitmap mailboxes (`spill` is the window's share of the
+    /// sorted spill) for round `round`.
+    pub(crate) fn from_bitmap(
         slots: &'a [Option<M>],
-        filled: &'a [usize],
+        bits: &'a [u64],
         spill: &'a [(usize, M)],
-        base: usize,
+        arcs: std::ops::Range<usize>,
+        round: usize,
     ) -> Self {
-        Inbox { repr: InboxRepr::Slots { slots, filled, spill, base } }
+        Inbox {
+            repr: InboxRepr::Bitmap { slots, bits, spill, start: arcs.start, end: arcs.end },
+            round,
+        }
+    }
+
+    /// The number of the round being delivered, 1-based: `init` runs in round 0, and the
+    /// messages it sends arrive in round 1.  Every executor reports the same number, so a
+    /// slot-scheduled program can act "when `inbox.round() == slot`" (see
+    /// [`NodeCtx::wake_in`]).
+    pub fn round(&self) -> usize {
+        self.round
     }
 
     /// Iterates over `(port, &message)` pairs (ports ascending; same-port messages in send
@@ -215,19 +260,35 @@ impl<'a, M> Inbox<'a, M> {
     pub fn iter(&self) -> impl Iterator<Item = (usize, &'a M)> + '_ {
         match self.repr {
             InboxRepr::Pairs(messages) => InboxIter::Pairs(messages.iter()),
-            InboxRepr::Slots { slots, filled, spill, base } => {
-                InboxIter::Slots { slots, filled, fpos: 0, spill, spos: 0, base, current: None }
-            }
+            InboxRepr::Bitmap { slots, bits, spill, start, end } => InboxIter::Bitmap {
+                slots,
+                bits,
+                spill,
+                spos: 0,
+                start,
+                end,
+                word_index: start / 64,
+                word: if start < end { window_word(bits, start / 64, start, end) } else { 0 },
+                current: None,
+            },
         }
     }
 
     /// The first message received from the neighbor at `port`, if any.
     ///
-    /// O(1) on the flat-slot representation (one array read), O(len) on the pair slice.
+    /// O(1) on the bitmap representation (one bit test, one slot read), O(len) on the pair
+    /// slice.
     pub fn from_port(&self, port: usize) -> Option<&'a M> {
         match self.repr {
             InboxRepr::Pairs(messages) => messages.iter().find(|(p, _)| *p == port).map(|(_, m)| m),
-            InboxRepr::Slots { slots, .. } => slots.get(port).and_then(|slot| slot.as_ref()),
+            InboxRepr::Bitmap { slots, bits, start, end, .. } => {
+                let arc = start + port;
+                if arc < end && bits[arc / 64] >> (arc % 64) & 1 == 1 {
+                    slots[arc].as_ref()
+                } else {
+                    None
+                }
+            }
         }
     }
 
@@ -235,7 +296,15 @@ impl<'a, M> Inbox<'a, M> {
     pub fn len(&self) -> usize {
         match self.repr {
             InboxRepr::Pairs(messages) => messages.len(),
-            InboxRepr::Slots { filled, spill, .. } => filled.len() + spill.len(),
+            InboxRepr::Bitmap { bits, spill, start, end, .. } => {
+                if start == end {
+                    return 0;
+                }
+                let slotted: u32 = (start / 64..=(end - 1) / 64)
+                    .map(|w| window_word(bits, w, start, end).count_ones())
+                    .sum();
+                slotted as usize + spill.len()
+            }
         }
     }
 
@@ -245,16 +314,33 @@ impl<'a, M> Inbox<'a, M> {
     }
 }
 
+/// Word `w` of `bits`, masked to the arcs `start..end` (which must be non-empty and overlap
+/// the word).
+#[inline]
+fn window_word(bits: &[u64], w: usize, start: usize, end: usize) -> u64 {
+    let mut word = bits[w];
+    if w == start / 64 {
+        word &= u64::MAX << (start % 64);
+    }
+    if w == (end - 1) / 64 && end % 64 != 0 {
+        word &= (1u64 << (end % 64)) - 1;
+    }
+    word
+}
+
 /// Iterator behind [`Inbox::iter`], merging slots and spill in port order.
 enum InboxIter<'a, M> {
     Pairs(std::slice::Iter<'a, (usize, M)>),
-    Slots {
+    Bitmap {
         slots: &'a [Option<M>],
-        filled: &'a [usize],
-        fpos: usize,
+        bits: &'a [u64],
         spill: &'a [(usize, M)],
         spos: usize,
-        base: usize,
+        start: usize,
+        end: usize,
+        /// The bitmap word being scanned, and its not-yet-yielded window bits.
+        word_index: usize,
+        word: u64,
         /// Arc whose spill entries are being drained (its slot message was already
         /// yielded).
         current: Option<usize>,
@@ -267,22 +353,38 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
     fn next(&mut self) -> Option<(usize, &'a M)> {
         match self {
             InboxIter::Pairs(iter) => iter.next().map(|(p, m)| (*p, m)),
-            InboxIter::Slots { slots, filled, fpos, spill, spos, base, current } => {
+            InboxIter::Bitmap {
+                slots,
+                bits,
+                spill,
+                spos,
+                start,
+                end,
+                word_index,
+                word,
+                current,
+            } => {
                 if let Some(arc) = *current {
                     if let Some((a, m)) = spill.get(*spos) {
                         if *a == arc {
                             *spos += 1;
-                            return Some((arc - *base, m));
+                            return Some((arc - *start, m));
                         }
                     }
                     *current = None;
                 }
-                let arc = *filled.get(*fpos)?;
-                *fpos += 1;
+                while *word == 0 {
+                    *word_index += 1;
+                    if *start >= *end || *word_index * 64 >= *end {
+                        return None;
+                    }
+                    *word = window_word(bits, *word_index, *start, *end);
+                }
+                let arc = *word_index * 64 + word.trailing_zeros() as usize;
+                *word &= *word - 1;
                 *current = Some(arc);
-                let message =
-                    slots[arc - *base].as_ref().expect("filled arcs have an occupied slot");
-                Some((arc - *base, message))
+                let message = slots[arc].as_ref().expect("an occupied arc holds a message");
+                Some((arc - *start, message))
             }
         }
     }
@@ -359,23 +461,29 @@ impl<M: Clone> Outbox<M> {
 /// # Activation contract
 ///
 /// A round only invokes `round` on the **frontier**: vertices that either received at least
-/// one message in that round or called [`NodeCtx::wake_next_round`] during their previous
-/// `init`/`round` invocation.  Quiescent vertices are free — a round costs
-/// O(|frontier| + messages), not O(n).  This puts one obligation on node programs:
+/// one message in that round or have a wake-up due in it — requested with
+/// [`NodeCtx::wake_next_round`] in their previous invocation, or with
+/// [`NodeCtx::wake_in`]`(k)` in the invocation of round `r − k`.  Quiescent vertices are
+/// free — a round costs O(|frontier| + messages), not O(n).  This puts one obligation on
+/// node programs:
 ///
-/// * A program that must act without incoming mail (an internal round counter, a slot
-///   schedule, a phase machine) calls `ctx.wake_next_round()` in every invocation after
-///   which it still wants to run.  The flag covers exactly one round, so "wake while
-///   [`Status::Active`]" is the usual idiom.
+/// * A program that must act without incoming mail (an internal round counter, a phase
+///   machine) calls `ctx.wake_next_round()` in every invocation after which it still wants
+///   to run.  A wake-up covers exactly one round, so "wake while [`Status::Active`]" is the
+///   usual idiom.
+/// * A program that acts at a known round (a slot schedule) calls `ctx.wake_in(k)` once and
+///   reads the round number from [`Inbox::round`] instead of counting invocations, so the
+///   rounds it waits through cost nothing.  Mail can still step it early; it must then act
+///   on the mail alone.
 /// * A purely message-driven program (acts only when mail arrives, empty-inbox rounds would
 ///   be no-ops) needs no change — it is simply not invoked until mail shows up, which is
 ///   where the O(|frontier|) rounds come from.
 ///
 /// An active vertex that is skipped in a round observes nothing: skipping a no-op invocation
 /// is indistinguishable from running it.  The [`ReferenceExecutor`](crate::ReferenceExecutor)
-/// oracle still invokes every active vertex every round and ignores wakeups, so the
-/// bit-identity suites double as a check that converted programs treat a skipped no-op round
-/// and an executed one identically.
+/// oracle still invokes every active vertex every round (with the same
+/// [`Inbox::round`]) and ignores wake-ups, so the bit-identity suites double as a check that
+/// converted programs treat a skipped no-op round and an executed one identically.
 pub trait NodeProgram {
     /// Message type exchanged by this algorithm.  The [`MessageCost`](crate::cost::MessageCost)
     /// bound is what lets the executors account CONGEST bandwidth for every algorithm.
@@ -463,26 +571,102 @@ mod tests {
         assert_eq!(collected, vec![(0, &5), (2, &7)]);
     }
 
+    /// Slots, occupancy bits and spill of a hand-built bitmap fabric.
+    type Fabric = (Vec<Option<u32>>, Vec<u64>, Vec<(usize, u32)>);
+
+    /// Builds a bitmap fabric over `num_arcs` arcs holding `(arc, message)` deliveries in
+    /// order: the first message per arc in its slot, the rest in the spill.
+    fn fabric(num_arcs: usize, deliveries: &[(usize, u32)]) -> Fabric {
+        let mut slots = vec![None; num_arcs];
+        let mut bits = vec![0u64; num_arcs.div_ceil(64)];
+        let mut spill = Vec::new();
+        for &(arc, message) in deliveries {
+            if bits[arc / 64] >> (arc % 64) & 1 == 0 {
+                bits[arc / 64] |= 1 << (arc % 64);
+                slots[arc] = Some(message);
+            } else {
+                spill.push((arc, message));
+            }
+        }
+        (slots, bits, spill)
+    }
+
+    /// The same deliveries as a pair inbox of the vertex owning `arcs`.
+    fn pairs(arcs: std::ops::Range<usize>, deliveries: &[(usize, u32)]) -> Vec<(usize, u32)> {
+        let mut pairs: Vec<(usize, u32)> = deliveries
+            .iter()
+            .filter(|(arc, _)| arcs.contains(arc))
+            .map(|&(arc, m)| (arc - arcs.start, m))
+            .collect();
+        pairs.sort_by_key(|&(port, _)| port); // stable: send order within a port
+        pairs
+    }
+
+    fn assert_views_agree(
+        num_arcs: usize,
+        arcs: std::ops::Range<usize>,
+        deliveries: &[(usize, u32)],
+    ) {
+        let (slots, bits, spill) = fabric(num_arcs, deliveries);
+        let mut window: Vec<(usize, u32)> =
+            spill.into_iter().filter(|(arc, _)| arcs.contains(arc)).collect();
+        window.sort_by_key(|&(arc, _)| arc); // stable: send order within an arc
+        let inbox = Inbox::from_bitmap(&slots, &bits, &window, arcs.clone(), 3);
+        let expected = pairs(arcs.clone(), deliveries);
+        let reference = Inbox::new(&expected).with_round(3);
+        assert_eq!(inbox.round(), 3);
+        assert_eq!(inbox.len(), reference.len(), "len on {arcs:?}");
+        assert_eq!(inbox.is_empty(), reference.is_empty());
+        assert_eq!(inbox.iter().collect::<Vec<_>>(), reference.iter().collect::<Vec<_>>());
+        for port in 0..arcs.len() + 2 {
+            assert_eq!(inbox.from_port(port), reference.from_port(port), "port {port} of {arcs:?}");
+        }
+    }
+
     #[test]
     fn slot_inbox_matches_pair_inbox() {
         // A degree-4 vertex whose arcs are 10..14; ports 0 and 2 received one message each,
-        // port 3 received three (one slotted + two spilled).
-        let slots = vec![Some(5u32), None, Some(7), Some(9)];
-        let filled = vec![10usize, 12, 13];
-        let spill = vec![(13usize, 11u32), (13, 13)];
-        let inbox = Inbox::from_slots(&slots, &filled, &spill, 10);
+        // port 3 received three (one slotted + two spilled).  Neighbors' arcs 9 and 14 are
+        // occupied too and must stay out of the window.
+        let deliveries = [(10, 5), (9, 1), (13, 9), (12, 7), (13, 11), (14, 2), (13, 13)];
+        let (slots, bits, spill) = fabric(20, &deliveries);
+        let inbox = Inbox::from_bitmap(&slots, &bits, &spill, 10..14, 1);
         assert_eq!(inbox.len(), 5);
-        assert!(!inbox.is_empty());
         assert_eq!(inbox.from_port(0), Some(&5));
         assert_eq!(inbox.from_port(1), None);
         assert_eq!(inbox.from_port(3), Some(&9));
         assert_eq!(inbox.from_port(9), None);
         let collected: Vec<_> = inbox.iter().collect();
         assert_eq!(collected, vec![(0, &5), (2, &7), (3, &9), (3, &11), (3, &13)]);
+        assert_views_agree(20, 10..14, &deliveries);
 
-        let empty: Inbox<'_, u32> = Inbox::from_slots(&slots[1..2], &[], &[], 11);
+        let empty: Inbox<'_, u32> = Inbox::from_bitmap(&slots, &bits, &[], 11..12, 1);
         assert!(empty.is_empty());
         assert_eq!(empty.iter().count(), 0);
+        let isolated: Inbox<'_, u32> = Inbox::from_bitmap(&slots, &bits, &[], 12..12, 1);
+        assert!(isolated.is_empty());
+        assert_eq!(isolated.iter().count(), 0);
+        assert_eq!(isolated.from_port(0), None);
+    }
+
+    #[test]
+    fn bitmap_windows_straddle_words_and_exceed_one_word() {
+        // Windows that end exactly on, start exactly on, and straddle word boundaries, plus
+        // a degree-150 window spanning three words, with every second arc occupied and a
+        // spill on the first and last arc of each window.
+        for arcs in [60..70, 64..128, 0..64, 63..65, 5..155, 127..128] {
+            let mut deliveries: Vec<(usize, u32)> =
+                arcs.clone().step_by(2).map(|a| (a, a as u32)).collect();
+            deliveries.push((arcs.start, 1000));
+            deliveries.push((arcs.end - 1, 2000));
+            deliveries.push((arcs.end - 1, 2001));
+            // Traffic just outside the window.
+            deliveries.push((arcs.end, 3000));
+            if arcs.start > 0 {
+                deliveries.push((arcs.start - 1, 4000));
+            }
+            assert_views_agree(256, arcs, &deliveries);
+        }
     }
 
     #[test]
@@ -504,12 +688,30 @@ mod tests {
     #[test]
     fn wakeup_flag_is_consumed_once_and_survives_clone() {
         let ctx = NodeCtx::new(0, 1, 1, 1, 0, NeighborIds::from_vec(vec![]));
-        assert!(!ctx.take_wake());
+        assert_eq!(ctx.take_wake(), None);
         ctx.wake_next_round();
         ctx.wake_next_round(); // idempotent
         let copy = ctx.clone();
-        assert!(ctx.take_wake());
-        assert!(!ctx.take_wake(), "the flag covers exactly one drain");
-        assert!(copy.take_wake(), "a clone carries the pending wakeup");
+        assert_eq!(ctx.take_wake(), Some(1));
+        assert_eq!(ctx.take_wake(), None, "the flag covers exactly one drain");
+        assert_eq!(copy.take_wake(), Some(1), "a clone carries the pending wakeup");
+    }
+
+    #[test]
+    fn the_earliest_requested_wake_up_wins() {
+        let ctx = NodeCtx::new(0, 1, 1, 1, 0, NeighborIds::from_vec(vec![]));
+        ctx.wake_in(5);
+        ctx.wake_in(3);
+        ctx.wake_in(9);
+        assert_eq!(ctx.take_wake(), Some(3));
+        ctx.wake_in(4);
+        ctx.wake_next_round();
+        assert_eq!(ctx.take_wake(), Some(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one round ahead")]
+    fn a_wake_up_in_the_current_round_is_rejected() {
+        NodeCtx::new(0, 1, 1, 1, 0, NeighborIds::from_vec(vec![])).wake_in(0);
     }
 }

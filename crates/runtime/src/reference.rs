@@ -4,7 +4,9 @@
 //! messages are pushed into per-vertex mailboxes in sender order, and every delivery derives
 //! the receiver's port with a linear scan of the receiver's adjacency list (the old
 //! `port_of` behaviour — deliberately *not* the mirror table, so the two implementations
-//! share no routing code).  It is kept for two jobs:
+//! share no routing code).  It has no frontier either: every round steps every active vertex,
+//! with the round number in [`Inbox::round`], and wake-up requests are ignored.  It is kept
+//! for two jobs:
 //!
 //! * **Oracle.**  `tests/message_fabric.rs` pins the flat-mailbox executors to this one:
 //!   outputs, rounds, and message counts must stay bit-identical on the generator suite and
@@ -180,7 +182,7 @@ impl<'g> ReferenceExecutor<'g> {
                     continue;
                 }
                 stepped += 1;
-                let inbox = Inbox::new(&inboxes[v]);
+                let inbox = Inbox::new(&inboxes[v]).with_round(report.rounds);
                 let mut outbox = Outbox::new(contexts[v].degree);
                 let status = nodes[v].round(&contexts[v], &inbox, &mut outbox);
                 if status == Status::Halted {
@@ -241,10 +243,9 @@ fn swap_mailboxes<T>(pending: &mut Vec<Vec<T>>, inbox: &mut Vec<Vec<T>>) {
 
 /// Routes the outbox of `sender` into the pending per-vertex inboxes, deriving each
 /// receiver's port with a linear scan of its adjacency list — the O(deg)-per-message
-/// delivery the mirror table replaced.  Bandwidth is charged to the receiver-side arc
-/// `arc_range(receiver).start + receiver_port` (derived from the scan, not the mirror
-/// table, to keep the no-shared-routing-code property), the same index the flat executors
-/// charge, so the bit accounting is identical.
+/// delivery the mirror table replaced.  Bandwidth is charged to the sender-side arc
+/// `arc_range(sender).start + port`, the same index the flat executor charges, so the bit
+/// accounting is identical without consulting the mirror table.
 fn deliver_by_scan<M: Clone + MessageCost>(
     graph: &Graph,
     sender: usize,
@@ -254,6 +255,7 @@ fn deliver_by_scan<M: Clone + MessageCost>(
     meter: &mut BandwidthMeter,
 ) {
     let neighbors = graph.neighbors(sender);
+    let first_arc = graph.arc_range(sender).start;
     for (port, message) in outbox.into_messages() {
         let receiver = neighbors[port];
         let receiver_port = graph
@@ -261,7 +263,7 @@ fn deliver_by_scan<M: Clone + MessageCost>(
             .iter()
             .position(|&w| w == sender)
             .expect("graph adjacency is symmetric");
-        meter.add(graph.arc_range(receiver).start + receiver_port, message.encoded_bits());
+        meter.add(first_arc + port, message.encoded_bits());
         pending[receiver].push((receiver_port, message));
         report.messages += 1;
     }

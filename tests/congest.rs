@@ -91,19 +91,29 @@ fn congest_mode_rejects_an_over_wide_message_with_the_typed_error() {
             assert!(bits > 3);
             assert!(round >= 1);
             assert!(sender < g.n() && receiver < g.n() && sender != receiver);
+            assert!(g.has_edge(sender, receiver), "the named edge must exist");
+            (round, sender, receiver, bits)
         }
         other => panic!("expected CongestBudgetExceeded, got {other:?}"),
     };
-    check(Executor::new(&g).with_cost_mode(tight).run(&ProposeMaxId).unwrap_err());
-    check(
+    let one_thread = check(Executor::new(&g).with_cost_mode(tight).run(&ProposeMaxId).unwrap_err());
+    let four_threads = check(
         Executor::new(&g)
             .with_threads(4)
+            .with_chunk_size(3)
             .with_sequential_cutoff(0)
             .with_cost_mode(tight)
             .run(&ProposeMaxId)
             .unwrap_err(),
     );
-    check(ReferenceExecutor::new(&g).with_cost_mode(tight).run(&ProposeMaxId).unwrap_err());
+    let reference =
+        check(ReferenceExecutor::new(&g).with_cost_mode(tight).run(&ProposeMaxId).unwrap_err());
+    // Every executor names the same overloaded edge, in the same direction.
+    assert_eq!(four_threads, one_thread, "4-thread executor named a different edge");
+    assert_eq!(reference, one_thread, "reference executor named a different edge");
+    // The sender is the vertex whose identifier went over the wire.
+    let (_, sender, _, bits) = one_thread;
+    assert_eq!(bits, 64 - u64::from(g.id(sender).leading_zeros()));
 
     // A budget wide enough for every identifier passes on the same graph, and the run
     // reports the same bits Local mode would have measured.
